@@ -37,6 +37,13 @@ let node t = t.conn_node
 
 let session t = t.sess
 
+let alive t = Engine.Instance.session_alive t.sess
+
+(* A connection whose worker session died (the node crashed or
+   restarted) can carry no statement. *)
+let check_alive t node_name =
+  if not (alive t) then unavailable node_name "session died in a node crash"
+
 let count_round_trip t =
   t.cluster.Topology.net.round_trips <- t.cluster.Topology.net.round_trips + 1;
   let cross =
@@ -59,7 +66,9 @@ let round_trip t ~sql run =
   let node_name = t.conn_node.Topology.node_name in
   let metrics = Topology.metrics t.cluster in
   match t.cluster.Topology.fault with
-  | None -> run ()
+  | None ->
+    check_alive t node_name;
+    run ()
   | Some f ->
     (match
        Sim.Fault.check_round_trip f ~from_:(origin_name t) ~to_:node_name ~sql
@@ -74,8 +83,7 @@ let round_trip t ~sql run =
        Obs.Metrics.inc metrics Obs.Metric_names.net_reply_lost;
        (try ignore (run ()) with _ -> ());
        unavailable node_name r);
-    if not (Engine.Instance.session_alive t.sess) then
-      unavailable node_name "session died in a node crash";
+    check_alive t node_name;
     let result = run () in
     (match Sim.Fault.after_statement f ~node:node_name ~sql with
      | `Proceed -> result

@@ -7,10 +7,11 @@
 
 type t
 
-(** Raised instead of a generic failure when the fault plan says the
-    target cannot be talked to: the node is down, the route is
-    partitioned, a round trip was dropped, or the session died in a
-    crash. Distinguishable so {!Health} records an infrastructure
+(** Raised instead of a generic failure when the target cannot be
+    talked to: the fault plan says the node is down, the route is
+    partitioned or a round trip was dropped, or (with or without a fault
+    plan) the connection's session died in a crash or restart.
+    Distinguishable so {!Health} records an infrastructure
     failure rather than misclassifying it as a statement error. On a
     dropped {e reply} the statement did execute remotely. *)
 exception Node_unavailable of { node : string; reason : string }
@@ -32,6 +33,11 @@ val open_ : ?origin:string -> Topology.t -> Topology.node -> t
 val node : t -> Topology.node
 
 val session : t -> Engine.Instance.session
+
+(** [false] once the node the session lives on has crashed or restarted
+    since the connection opened: every later round trip on it raises
+    {!Node_unavailable}. *)
+val alive : t -> bool
 
 (** The pending outcome of a submitted statement. *)
 type handle

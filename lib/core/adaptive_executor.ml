@@ -293,7 +293,7 @@ let execute (t : State.t) coord_session (tasks : Plan.task list) =
           take conn
         end
       | None, None -> (
-        let existing = State.pool_of st node_name in
+        let existing = State.pool_of t st node_name in
         let free =
           List.filter (fun c -> not (List.memq c pool.sp_busy)) existing
         in

@@ -404,7 +404,7 @@ let delegate_call (t : t) (st : State.t) session proc args =
        else begin
          let sst = State.session_state st session in
          let conn =
-           match State.pool_of sst node with
+           match State.pool_of st sst node with
            | c :: _ -> c
            | [] -> (
              match

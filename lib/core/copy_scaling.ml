@@ -6,7 +6,7 @@ let err fmt =
 let connection_to (t : State.t) st session node_name =
   let node = Cluster.Topology.find_node t.State.cluster node_name in
   let conn =
-    match State.pool_of st node_name with
+    match State.pool_of t st node_name with
     | conn :: _ -> conn
     | [] ->
       (match State.checkout t st ~force:true node with

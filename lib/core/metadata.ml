@@ -20,6 +20,11 @@ type placement_state = Active | Inactive
 
 type placement = { pl_node : string; mutable pl_state : placement_state }
 
+(* One table's shards in hash-range order: the list [shards_of] returns
+   and the array [shard_for_value] binary-searches, after Citus's
+   CitusTableCacheEntry / FindShardInterval. *)
+type shard_index = { sorted : shard list; ranges : shard array }
+
 type t = {
   shard_count : int;
   mutable tables : dist_table list;
@@ -32,6 +37,10 @@ type t = {
       (* monotonic metadata version: bumped by every mutation that can
          invalidate a cached distributed plan (DDL, placement changes,
          shard splits). The plan cache revalidates against it. *)
+  shard_index : (string, shard_index) Hashtbl.t;
+      (* table name -> its shard index, built on first lookup; every
+         write to [tables] or [shards] goes through [set_tables] /
+         [set_shards], which drop it *)
 }
 
 exception Not_distributed of string
@@ -53,7 +62,16 @@ let create ?(shard_count = 32) () =
     next_shard_id = 102008;
     next_colocation_id = 1;
     version = 0;
+    shard_index = Hashtbl.create 16;
   }
+
+let set_tables t tables =
+  t.tables <- tables;
+  Hashtbl.reset t.shard_index
+
+let set_shards t shards =
+  t.shards <- shards;
+  Hashtbl.reset t.shard_index
 
 let default_shard_count t = t.shard_count
 
@@ -109,6 +127,11 @@ let placement t shard_id =
   | node :: _ -> node
   | [] -> catalog_error "shard %d has no active placement" shard_id
 
+(* [name]'s shards in hash-range order, read off [t.shards] *)
+let by_range t name =
+  List.filter (fun s -> String.equal s.shard_of name) t.shards
+  |> List.sort (fun a b -> Int32.compare a.min_hash b.min_hash)
+
 let register_distributed ?(replication_factor = 1) t ~table ~column ~ty
     ~colocate_with ~nodes =
   if find t table <> None then
@@ -123,10 +146,7 @@ let register_distributed ?(replication_factor = 1) t ~table ~column ~ty
       | Some _ -> invalid_arg (other ^ " is not a distributed table")
       | None -> raise (Not_distributed other)
     in
-    let other_shards =
-      List.filter (fun s -> String.equal s.shard_of other) t.shards
-      |> List.sort (fun a b -> Int32.compare a.min_hash b.min_hash)
-    in
+    let other_shards = by_range t other in
     let dt =
       {
         dt_name = table;
@@ -136,7 +156,7 @@ let register_distributed ?(replication_factor = 1) t ~table ~column ~ty
         kind = Distributed;
       }
     in
-    t.tables <- t.tables @ [ dt ];
+    set_tables t (t.tables @ [ dt ]);
     let new_shards =
       List.map
         (fun (os : shard) ->
@@ -156,7 +176,7 @@ let register_distributed ?(replication_factor = 1) t ~table ~column ~ty
           s)
         other_shards
     in
-    t.shards <- t.shards @ new_shards;
+    set_shards t (t.shards @ new_shards);
     bump_version t;
     new_shards
   | None ->
@@ -171,7 +191,7 @@ let register_distributed ?(replication_factor = 1) t ~table ~column ~ty
         kind = Distributed;
       }
     in
-    t.tables <- t.tables @ [ dt ];
+    set_tables t (t.tables @ [ dt ]);
     let node_array = Array.of_list nodes in
     let n_nodes = Array.length node_array in
     let rf = min replication_factor n_nodes in
@@ -196,7 +216,7 @@ let register_distributed ?(replication_factor = 1) t ~table ~column ~ty
           s)
         (hash_ranges t.shard_count)
     in
-    t.shards <- t.shards @ new_shards;
+    set_shards t (t.shards @ new_shards);
     bump_version t;
     new_shards
 
@@ -213,7 +233,7 @@ let register_reference t ~table ~nodes =
       kind = Reference;
     }
   in
-  t.tables <- t.tables @ [ dt ];
+  set_tables t (t.tables @ [ dt ]);
   let s =
     {
       shard_id = fresh_shard_id t;
@@ -225,34 +245,49 @@ let register_reference t ~table ~nodes =
   in
   Hashtbl.replace t.placement_tbl s.shard_id
     (List.map (fun n -> { pl_node = n; pl_state = Active }) nodes);
-  t.shards <- t.shards @ [ s ];
+  set_shards t (t.shards @ [ s ]);
   bump_version t;
   s
 
 let drop_table t name =
-  t.tables <- List.filter (fun dt -> not (String.equal dt.dt_name name)) t.tables;
+  set_tables t
+    (List.filter (fun dt -> not (String.equal dt.dt_name name)) t.tables);
   let dropped, kept =
     List.partition (fun s -> String.equal s.shard_of name) t.shards
   in
   List.iter (fun s -> Hashtbl.remove t.placement_tbl s.shard_id) dropped;
-  t.shards <- kept;
+  set_shards t kept;
   bump_version t
 
-let shards_of t name =
-  if find t name = None then raise (Not_distributed name);
-  List.filter (fun s -> String.equal s.shard_of name) t.shards
-  |> List.sort (fun a b -> Int32.compare a.min_hash b.min_hash)
+let index_of t name =
+  match Hashtbl.find_opt t.shard_index name with
+  | Some ix -> ix
+  | None ->
+    if find t name = None then raise (Not_distributed name);
+    let sorted = by_range t name in
+    let ix = { sorted; ranges = Array.of_list sorted } in
+    Hashtbl.replace t.shard_index name ix;
+    ix
+
+let shards_of t name = (index_of t name).sorted
+
+(* Index of the last shard in [a.(lo) .. a.(hi-1)] whose range starts at
+   or below [h] ([lo - 1] when none does); ranges never overlap, so that
+   shard is the only one that can hold [h]. *)
+let rec last_starting_at_or_below a h lo hi =
+  if lo >= hi then lo - 1
+  else
+    let mid = (lo + hi) / 2 in
+    if Int32.compare a.(mid).min_hash h <= 0 then
+      last_starting_at_or_below a h (mid + 1) hi
+    else last_starting_at_or_below a h lo mid
 
 let shard_for_value t ~table value =
   let h = Datum.hash32 value in
-  let shards = shards_of t table in
-  match
-    List.find_opt
-      (fun s -> Int32.compare h s.min_hash >= 0 && Int32.compare h s.max_hash <= 0)
-      shards
-  with
-  | Some s -> s
-  | None -> invalid_arg "hash value outside all shard ranges"
+  let a = (index_of t table).ranges in
+  let i = last_starting_at_or_below a h 0 (Array.length a) in
+  if i >= 0 && Int32.compare h a.(i).max_hash <= 0 then a.(i)
+  else invalid_arg "hash value outside all shard ranges"
 
 let shard_name s = Printf.sprintf "%s_%d" s.shard_of s.shard_id
 
@@ -419,8 +454,7 @@ let replace_shard t ~shard_id ~ranges =
       ranges
   in
   Hashtbl.remove t.placement_tbl shard_id;
-  t.shards <-
-    List.filter (fun s -> s.shard_id <> shard_id) t.shards @ news;
+  set_shards t (List.filter (fun s -> s.shard_id <> shard_id) t.shards @ news);
   bump_version t;
   news
 
@@ -435,15 +469,13 @@ let renumber_colocation t ~colocation_id =
   in
   List.iter
     (fun dt ->
-      let shards =
-        List.filter (fun s -> String.equal s.shard_of dt.dt_name) t.shards
-        |> List.sort (fun a b -> Int32.compare a.min_hash b.min_hash)
-      in
       let renumbered =
-        List.mapi (fun i s -> { s with index_in_colocation = i }) shards
+        List.mapi
+          (fun i s -> { s with index_in_colocation = i })
+          (by_range t dt.dt_name)
       in
-      t.shards <-
-        List.filter (fun s -> not (String.equal s.shard_of dt.dt_name)) t.shards
-        @ renumbered)
+      set_shards t
+        (List.filter (fun s -> not (String.equal s.shard_of dt.dt_name)) t.shards
+        @ renumbered))
     tables;
   bump_version t

@@ -16,7 +16,6 @@ type config = {
   mutable shared_connection_limit : int;
   mutable slow_start_interval : float;
   mutable max_parallel_moves : int;
-  mutable binary_protocol : bool;
   mutable statement_timeout : float;
   mutable hedge_threshold : float;
   mutable move_timeout : float;
@@ -66,7 +65,6 @@ let default_config () =
     shared_connection_limit = 100;
     slow_start_interval = 0.010;
     max_parallel_moves = 4;
-    binary_protocol = true;
     statement_timeout = 0.0;
     hedge_threshold = 0.0;
     move_timeout = 0.0;
@@ -125,18 +123,31 @@ let counter t node =
 
 let shared_count t node = !(counter t node)
 
-let pool_of st node =
-  Option.value ~default:[] (List.assoc_opt node st.pools)
-
 let set_pool st node conns =
   st.pools <- (node, conns) :: List.remove_assoc node st.pools
+
+(* A worker restart that no fault plan reported leaves dead connections
+   in the pool. They are dropped on the way out, giving their slots back
+   to the shared counter, so no caller is handed one. A transaction that
+   pinned a dead connection still holds it in [txn_conns] / [affinity]
+   and fails on it with [Node_unavailable], like [purge_node_conns]. *)
+let pool_of t st node =
+  let conns = Option.value ~default:[] (List.assoc_opt node st.pools) in
+  if List.for_all Cluster.Connection.alive conns then conns
+  else begin
+    let live, dead = List.partition Cluster.Connection.alive conns in
+    set_pool st node live;
+    let cnt = counter t node in
+    cnt := max 0 (!cnt - List.length dead);
+    live
+  end
 
 (* Open one more connection to [node] if the per-session pool size and the
    cluster-wide shared limit allow it ([force] bypasses both, for the first
    connection a statement cannot do without). *)
 let checkout t st ?(force = false) (node : Cluster.Topology.node) =
   let name = node.Cluster.Topology.node_name in
-  let existing = pool_of st name in
+  let existing = pool_of t st name in
   let cnt = counter t name in
   let can_open =
     force

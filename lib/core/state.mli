@@ -31,7 +31,6 @@ type config = {
   mutable slow_start_interval : float;  (** seconds; paper: 10ms *)
   mutable max_parallel_moves : int;
       (** rebalancer: shard-group moves allowed in flight at once *)
-  mutable binary_protocol : bool;  (** placeholder knob, always true *)
   mutable statement_timeout : float;
       (** seconds of virtual time a distributed statement may run before
           failing with a typed timeout; [0.0] (default) disables — the
@@ -131,14 +130,18 @@ val session_state : t -> Engine.Instance.session -> session_state
 val shared_count : t -> string -> int
 
 (** [checkout t st node] opens one more connection to [node] and adds it
-    to the session pool, if the per-session pool size and the cluster-wide
+    to the session pool (after dropping the pool's dead connections, as
+    {!pool_of} does), if the per-session pool size and the cluster-wide
     shared limit allow; [force] bypasses the limits (the first connection a
     statement cannot do without). Returns [None] when at a limit. *)
 val checkout :
   t -> session_state -> ?force:bool -> Cluster.Topology.node -> Cluster.Connection.t option
 
-(** All pool connections of the session to [node]. *)
-val pool_of : session_state -> string -> Cluster.Connection.t list
+(** The session's live pool connections to [node]. Connections whose
+    session died in a crash or restart are dropped from the pool first
+    and their shared-limit slots released, whether or not a fault plan
+    reported the crash. *)
+val pool_of : t -> session_state -> string -> Cluster.Connection.t list
 
 (** Network-simulation guards, used by [Exec]'s raising primitives:
     [check_reachable] raises {!Network_error} when the node is

@@ -20,6 +20,14 @@ exception Lex_error of string
 
 val keywords : string list
 
+(** Is the word (any case) one of {!keywords}? *)
+val is_keyword : string -> bool
+
+(** The token stream of a statement, [Eof] last. Raises {!Lex_error}
+    with the offending offset. *)
+val tokens : string -> token array
+
+(** {!tokens} as a list. *)
 val tokenize : string -> token list
 
 val token_to_string : token -> string

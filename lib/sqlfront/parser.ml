@@ -21,25 +21,52 @@ let peek2 st =
 
 let advance st = st.pos <- st.pos + 1
 
+(* Token equality without polymorphic compare: [eat] and [accept] test
+   for punctuation and operators, keywords go through [kw]. *)
+let same_token (a : Lexer.token) (b : Lexer.token) =
+  match a, b with
+  | Lexer.Lparen, Lexer.Lparen
+  | Lexer.Rparen, Lexer.Rparen
+  | Lexer.Comma, Lexer.Comma
+  | Lexer.Semicolon, Lexer.Semicolon
+  | Lexer.Star, Lexer.Star
+  | Lexer.Dot, Lexer.Dot
+  | Lexer.Eof, Lexer.Eof -> true
+  | Lexer.Op x, Lexer.Op y
+  | Lexer.Keyword x, Lexer.Keyword y
+  | Lexer.Ident x, Lexer.Ident y
+  | Lexer.String_lit x, Lexer.String_lit y -> String.equal x y
+  | Lexer.Int_lit x, Lexer.Int_lit y | Lexer.Param_tok x, Lexer.Param_tok y ->
+    Int.equal x y
+  | Lexer.Float_lit x, Lexer.Float_lit y -> Float.equal x y
+  | _ -> false
+
 let eat st tok =
-  if peek st = tok then advance st
+  if same_token (peek st) tok then advance st
   else fail st (Printf.sprintf "expected %s" (Lexer.token_to_string tok))
 
-let accept st tok = if peek st = tok then (advance st; true) else false
+let accept st tok = if same_token (peek st) tok then (advance st; true) else false
 
-let kw st k = accept st (Lexer.Keyword k)
+let is_kw tok k =
+  match tok with Lexer.Keyword k' -> String.equal k k' | _ -> false
 
-let expect_kw st k = eat st (Lexer.Keyword k)
+let kw st k = if is_kw (peek st) k then (advance st; true) else false
+
+(* [Lexer.token_to_string (Keyword k)] is [k] *)
+let expect_kw st k =
+  if is_kw (peek st) k then advance st else fail st ("expected " ^ k)
 
 (* Keywords that PostgreSQL treats as unreserved: they may appear wherever
    an identifier is expected (e.g. a column named "key"). *)
-let unreserved =
-  [ "KEY"; "COLUMN"; "INDEX"; "DO"; "NOTHING"; "STDIN"; "TRANSACTION";
-    "PREPARED"; "BTREE"; "GIN"; "COLUMNAR"; "BY"; "EXECUTE"; "DEALLOCATE" ]
+let is_unreserved = function
+  | "KEY" | "COLUMN" | "INDEX" | "DO" | "NOTHING" | "STDIN" | "TRANSACTION"
+  | "PREPARED" | "BTREE" | "GIN" | "COLUMNAR" | "BY" | "EXECUTE"
+  | "DEALLOCATE" -> true
+  | _ -> false
 
 let ident_of_token = function
   | Lexer.Ident s -> Some s
-  | Lexer.Keyword k when List.mem k unreserved -> Some (String.lowercase_ascii k)
+  | Lexer.Keyword k when is_unreserved k -> Some (String.lowercase_ascii k)
   | _ -> None
 
 let expect_ident st =
@@ -81,7 +108,9 @@ let cast_expr e ty_name =
   | "date" -> Func ("sql_date", [ e ])
   | name -> Cast (e, Datum.ty_of_name name)
 
-let agg_keywords = [ "COUNT"; "SUM"; "AVG"; "MIN"; "MAX" ]
+let is_agg_keyword = function
+  | "COUNT" | "SUM" | "AVG" | "MIN" | "MAX" -> true
+  | _ -> false
 
 let rec parse_expr st = parse_or st
 
@@ -250,18 +279,18 @@ and parse_primary st =
     let sel = parse_select_body st in
     eat st Lexer.Rparen;
     Exists (sel, false)
-  | Lexer.Keyword "NOT" when peek2 st = Lexer.Keyword "EXISTS" ->
+  | Lexer.Keyword "NOT" when is_kw (peek2 st) "EXISTS" ->
     advance st;
     advance st;
     eat st Lexer.Lparen;
     let sel = parse_select_body st in
     eat st Lexer.Rparen;
     Exists (sel, true)
-  | Lexer.Keyword k when List.mem k agg_keywords ->
+  | Lexer.Keyword k when is_agg_keyword k ->
     advance st;
     eat st Lexer.Lparen;
     let name = String.lowercase_ascii k in
-    if peek st = Lexer.Star then begin
+    if same_token (peek st) Lexer.Star then begin
       advance st;
       eat st Lexer.Rparen;
       if name <> "count" then fail st "only COUNT(*) takes *";
@@ -335,7 +364,7 @@ and parse_projection st =
   match peek st with
   | Lexer.Star -> advance st; Ast.Star
   | Lexer.Ident name
-    when peek2 st = Lexer.Dot
+    when same_token (peek2 st) Lexer.Dot
          && (match
                (if st.pos + 2 < Array.length st.tokens then
                   st.tokens.(st.pos + 2)
@@ -354,7 +383,7 @@ and parse_projection st =
       else
         match peek st with
         | Lexer.Ident a
-          when not (List.mem (String.uppercase_ascii a) Lexer.keywords) ->
+          when not (Lexer.is_keyword a) ->
           advance st;
           Some a
         | _ -> None
@@ -397,7 +426,7 @@ and parse_from_item st =
       expect_kw st "ON";
       let cond = parse_expr st in
       joins (Join { left; right; kind = Inner; cond = Some cond })
-    | Lexer.Keyword "INNER" when peek2 st = Lexer.Keyword "JOIN" ->
+    | Lexer.Keyword "INNER" when is_kw (peek2 st) "JOIN" ->
       advance st;
       advance st;
       let right = parse_base_from_item st in
@@ -663,7 +692,7 @@ let parse_insert st =
   expect_kw st "INTO";
   let table = expect_ident st in
   let columns =
-    if peek st = Lexer.Lparen then begin
+    if same_token (peek st) Lexer.Lparen then begin
       advance st;
       let rec cols acc =
         let c = expect_ident st in
@@ -770,7 +799,7 @@ let rec parse_statement_body st =
     advance st;
     let table = expect_ident st in
     let columns =
-      if peek st = Lexer.Lparen then begin
+      if same_token (peek st) Lexer.Lparen then begin
         advance st;
         let rec cols acc =
           let c = expect_ident st in
@@ -857,12 +886,11 @@ let rec parse_statement_body st =
 
 let finish st v =
   ignore (accept st Lexer.Semicolon);
-  if peek st <> Lexer.Eof then fail st "trailing input after statement";
+  if not (same_token (peek st) Lexer.Eof) then fail st "trailing input after statement";
   v
 
 let with_state src f =
-  let tokens = Array.of_list (Lexer.tokenize src) in
-  let st = { tokens; pos = 0 } in
+  let st = { tokens = Lexer.tokens src; pos = 0 } in
   f st
 
 let parse_statement src =

@@ -244,6 +244,136 @@ let test_rebalance_udf () =
   | [ [| Datum.Int _ |] ] -> ()
   | _ -> Alcotest.fail "udf failed"
 
+(* --- shard-interval index --- *)
+
+(* [table]'s shards read off the catalog without the index:
+   [shard_by_id] scans the raw shard list (ids count up from 102008,
+   Citus's first shard id). *)
+let raw_shards meta table =
+  List.init 1000 (fun i -> 102008 + i)
+  |> List.filter_map (Citus.Metadata.shard_by_id meta)
+  |> List.filter (fun (s : Citus.Metadata.shard) ->
+         String.equal s.Citus.Metadata.shard_of table)
+  |> List.sort (fun (a : Citus.Metadata.shard) b ->
+         Int32.compare a.Citus.Metadata.min_hash b.Citus.Metadata.min_hash)
+
+let seeded_values =
+  let rng = Random.State.make [| 20211 |] in
+  Array.init 10_000 (fun i ->
+      if i mod 4 = 3 then Datum.Text (Printf.sprintf "tenant-%d" (Random.State.bits rng))
+      else Datum.Int (Random.State.bits rng - (1 lsl 29)))
+
+let seeded_hashes = Array.map Datum.hash32 seeded_values
+
+let shard_ids = List.map (fun (s : Citus.Metadata.shard) -> s.Citus.Metadata.shard_id)
+
+(* On every node's catalog replica: [shards_of] is the raw list in range
+   order, and [shard_for_value] picks the shard a linear scan of it
+   picks, for every seeded value. *)
+let check_index_agrees citus ~after tables =
+  List.iter
+    (fun (st : Citus.State.t) ->
+      let meta = st.Citus.State.metadata in
+      let node = st.Citus.State.local.Cluster.Topology.node_name in
+      List.iter
+        (fun table ->
+          let raw = raw_shards meta table in
+          let label what = Printf.sprintf "after %s, %s on %s: %s" after table node what in
+          Alcotest.(check (list int)) (label "shards_of") (shard_ids raw)
+            (shard_ids (Citus.Metadata.shards_of meta table));
+          Array.iteri
+            (fun i v ->
+              let h = seeded_hashes.(i) in
+              let scanned =
+                List.find
+                  (fun (s : Citus.Metadata.shard) ->
+                    Int32.compare h s.Citus.Metadata.min_hash >= 0
+                    && Int32.compare h s.Citus.Metadata.max_hash <= 0)
+                  raw
+              in
+              let found = Citus.Metadata.shard_for_value meta ~table v in
+              if found.Citus.Metadata.shard_id <> scanned.Citus.Metadata.shard_id then
+                Alcotest.fail
+                  (label
+                     (Printf.sprintf "%s went to shard %d, the scan says %d"
+                        (Datum.to_sql_literal v) found.Citus.Metadata.shard_id
+                        scanned.Citus.Metadata.shard_id)))
+            seeded_values)
+        tables)
+    citus.Citus.Api.states
+
+let test_shard_index_tracks_writes () =
+  let cluster = Cluster.Topology.create ~workers:3 () in
+  let citus = Citus.Api.install ~shard_count:8 ~active_workers:2 cluster in
+  let s = Citus.Api.connect citus in
+  ignore (exec s "SELECT citus_enable_metadata_sync()");
+  Alcotest.(check int) "every node holds a catalog replica" 4
+    (List.length citus.Citus.Api.states);
+  let create table =
+    ignore (exec s (Printf.sprintf "CREATE TABLE %s (k bigint, v text)" table))
+  in
+  create "t";
+  ignore (exec s "SELECT create_distributed_table('t', 'k')");
+  check_index_agrees citus ~after:"create" [ "t" ];
+  create "u";
+  ignore (exec s "SELECT create_distributed_table('u', 'k', 't')");
+  check_index_agrees citus ~after:"colocate" [ "t"; "u" ];
+  create "r";
+  ignore (exec s "SELECT create_reference_table('r')");
+  check_index_agrees citus ~after:"reference" [ "t"; "u"; "r" ];
+  create "gone";
+  ignore (exec s "SELECT create_distributed_table('gone', 'k')");
+  check_index_agrees citus ~after:"create" [ "t"; "u"; "r"; "gone" ];
+  ignore (exec s "DROP TABLE gone");
+  check_index_agrees citus ~after:"drop" [ "t"; "u"; "r" ];
+  List.iter
+    (fun (st : Citus.State.t) ->
+      match Citus.Metadata.shards_of st.Citus.State.metadata "gone" with
+      | exception Citus.Metadata.Not_distributed _ -> ()
+      | _ -> Alcotest.fail "a dropped table still has shards")
+    citus.Citus.Api.states;
+  ignore (exec s "SELECT isolate_tenant_to_new_shard('t', 42)");
+  check_index_agrees citus ~after:"split" [ "t"; "u"; "r" ];
+  Alcotest.(check int) "the split added two shards" 10
+    (List.length (Citus.Metadata.shards_of citus.Citus.Api.metadata "t"));
+  let meta = citus.Citus.Api.metadata in
+  let moved = List.hd (Citus.Metadata.shards_of meta "t") in
+  let from_node = Citus.Metadata.placement meta moved.Citus.Metadata.shard_id in
+  let to_node = if String.equal from_node "worker1" then "worker2" else "worker1" in
+  ignore
+    (exec s
+       (Printf.sprintf "SELECT citus_move_shard_placement(%d, '%s')"
+          moved.Citus.Metadata.shard_id to_node));
+  check_index_agrees citus ~after:"move" [ "t"; "u"; "r" ];
+  ignore (exec s "SELECT citus_add_node('worker3')");
+  ignore (exec s "SELECT rebalance_table_shards()");
+  Alcotest.(check bool) "the rebalance used the new node" true
+    (Citus.Metadata.shards_on_node meta "worker3" <> []);
+  check_index_agrees citus ~after:"rebalance" [ "t"; "u"; "r" ]
+
+(* Routing a value costs the same allocation whatever the shard count:
+   the lookup is a binary search over a cached array, not a filter and
+   sort of the shard list. *)
+let lookup_words ~shard_count =
+  let _, citus, s = make ~shard_count () in
+  ignore (exec s "CREATE TABLE t (k bigint, v text)");
+  ignore (exec s "SELECT create_distributed_table('t', 'k')");
+  let meta = citus.Citus.Api.metadata in
+  let values = Array.sub seeded_values 0 1000 in
+  let route () =
+    Array.iter
+      (fun v -> ignore (Citus.Metadata.shard_for_value meta ~table:"t" v))
+      values
+  in
+  route ();
+  let w0 = Gc.minor_words () in
+  route ();
+  Gc.minor_words () -. w0
+
+let test_shard_lookup_allocation () =
+  Alcotest.(check (float 0.0)) "minor words for 1000 lookups, 32 vs 128 shards"
+    (lookup_words ~shard_count:32) (lookup_words ~shard_count:128)
+
 let () =
   Alcotest.run "citus_advanced"
     [
@@ -268,5 +398,12 @@ let () =
             test_rebalance_after_add_node;
           Alcotest.test_case "by size" `Quick test_rebalance_by_size;
           Alcotest.test_case "udf" `Quick test_rebalance_udf;
+        ] );
+      ( "shard_index",
+        [
+          Alcotest.test_case "tracks every shard write" `Quick
+            test_shard_index_tracks_writes;
+          Alcotest.test_case "lookup allocation flat in shard count" `Quick
+            test_shard_lookup_allocation;
         ] );
     ]

@@ -495,6 +495,80 @@ let test_exec_with_retries_reports_attempts () =
   ignore (exec s "COMMIT");
   ignore (exec s2 "ROLLBACK")
 
+(* --- worker restarts nobody reports --- *)
+
+(* No fault plan here, so nothing tells the coordinator's pools that the
+   workers restarted: the pools must notice dead sessions themselves. *)
+let restart_workers cluster =
+  List.iter
+    (fun (n : Cluster.Topology.node) ->
+      Engine.Instance.restart n.Cluster.Topology.instance)
+    cluster.Cluster.Topology.workers
+
+let pooled_conns st sst =
+  List.concat_map
+    (fun (n : Cluster.Topology.node) ->
+      Citus.State.pool_of st sst n.Cluster.Topology.node_name)
+    st.Citus.State.cluster.Cluster.Topology.workers
+
+let test_unreported_restart_evicts_pooled_conns () =
+  let cluster, citus, s = make () in
+  setup_items s;
+  load_items ~n:10 s;
+  check_int s "warm" 10 "SELECT count(*) FROM items";
+  let st = Citus.Api.coordinator_state citus in
+  let sst = Citus.State.session_state st s in
+  let before = pooled_conns st sst in
+  Alcotest.(check bool) "pools warmed" true (before <> []);
+  restart_workers cluster;
+  check_int s "scatter read after restart" 10 "SELECT count(*) FROM items";
+  check_int s "router read after restart" 3
+    "SELECT qty FROM items WHERE key = 3";
+  ignore (exec s "UPDATE items SET qty = 7 WHERE key = 3");
+  check_int s "write after restart" 7 "SELECT qty FROM items WHERE key = 3";
+  let after = pooled_conns st sst in
+  Alcotest.(check bool) "every pooled connection is live" true
+    (List.for_all Cluster.Connection.alive after);
+  Alcotest.(check bool) "no dead connection survived" true
+    (List.for_all (fun c -> not (List.memq c after)) before);
+  List.iter
+    (fun (n : Cluster.Topology.node) ->
+      let name = n.Cluster.Topology.node_name in
+      Alcotest.(check int)
+        (Printf.sprintf "shared slots on %s match the live pool" name)
+        (List.length (Citus.State.pool_of st sst name))
+        (Citus.State.shared_count st name))
+    cluster.Cluster.Topology.workers
+
+let test_dead_txn_conn_is_unavailable () =
+  let _, citus, s = make () in
+  setup_items s;
+  load_items ~n:10 s;
+  let st = Citus.Api.coordinator_state citus in
+  ignore (exec s "BEGIN");
+  ignore (exec s "UPDATE items SET qty = 9 WHERE key = 1");
+  let sst = Citus.State.session_state st s in
+  let pinned =
+    match sst.Citus.State.txn_conns with
+    | [ c ] -> c
+    | l ->
+      Alcotest.fail
+        (Printf.sprintf "expected one transaction connection, got %d"
+           (List.length l))
+  in
+  Engine.Instance.restart (Cluster.Connection.node pinned).Cluster.Topology.instance;
+  (match Cluster.Connection.(await (exec_async pinned "SELECT 1")) with
+   | exception Cluster.Connection.Node_unavailable { node; _ } ->
+     Alcotest.(check string) "names the restarted node"
+       (Cluster.Connection.node pinned).Cluster.Topology.node_name node
+   | _ -> Alcotest.fail "expected Node_unavailable on a dead session");
+  (match exec s "UPDATE items SET qty = 8 WHERE key = 1" with
+   | exception Engine.Instance.Session_error _ -> ()
+   | _ -> Alcotest.fail "expected the transaction to fail on its dead connection");
+  ignore (exec s "ROLLBACK");
+  check_int s "the lost transaction's write is gone" 1
+    "SELECT qty FROM items WHERE key = 1"
+
 let () =
   Alcotest.run "failover"
     [
@@ -518,6 +592,13 @@ let () =
             test_insert_during_partition_marks_and_heals;
           Alcotest.test_case "single replica still clean error" `Quick
             test_single_replica_failure_still_clean_error;
+        ] );
+      ( "restart",
+        [
+          Alcotest.test_case "dead pooled connections evicted" `Quick
+            test_unreported_restart_evicts_pooled_conns;
+          Alcotest.test_case "dead transaction connection unavailable" `Quick
+            test_dead_txn_conn_is_unavailable;
         ] );
       ( "twopc",
         [

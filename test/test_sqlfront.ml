@@ -477,6 +477,161 @@ let prop_expr_roundtrip =
       | ast -> ast = e
       | exception Parser.Parse_error _ -> false)
 
+(* --- golden token streams --- *)
+
+(* One token per word: I: identifier, K: keyword, N: int, F: float,
+   S: string (OCaml-quoted), O: operator, $n: parameter. *)
+let render_token = function
+  | Lexer.Ident s -> "I:" ^ s
+  | Lexer.Keyword s -> "K:" ^ s
+  | Lexer.Int_lit i -> "N:" ^ string_of_int i
+  | Lexer.Float_lit f ->
+    let s = Printf.sprintf "%.15g" f in
+    "F:" ^ if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  | Lexer.String_lit s -> Printf.sprintf "S:%S" s
+  | Lexer.Param_tok i -> "$" ^ string_of_int i
+  | Lexer.Lparen -> "("
+  | Lexer.Rparen -> ")"
+  | Lexer.Comma -> ","
+  | Lexer.Semicolon -> ";"
+  | Lexer.Star -> "*"
+  | Lexer.Dot -> "."
+  | Lexer.Op s -> "O:" ^ s
+  | Lexer.Eof -> "EOF"
+
+let golden_tokens =
+  [
+    (* statement texts of lib/workloads: YCSB, pgbench, TPC-C, TPC-H,
+       GitHub archive *)
+    ( "CREATE TABLE usertable (ycsb_key bigint PRIMARY KEY, field0 text, field1 text)",
+      "K:CREATE K:TABLE I:usertable ( I:ycsb_key I:bigint K:PRIMARY K:KEY , I:field0 I:text , I:field1 I:text ) EOF" );
+    ( "SELECT * FROM usertable WHERE ycsb_key = 42",
+      "K:SELECT * K:FROM I:usertable K:WHERE I:ycsb_key O:= N:42 EOF" );
+    ( "UPDATE usertable SET field3 = 'aZ09xy' WHERE ycsb_key = 7",
+      "K:UPDATE I:usertable K:SET I:field3 O:= S:\"aZ09xy\" K:WHERE I:ycsb_key O:= N:7 EOF" );
+    ( "UPDATE a1 SET v = v + 5 WHERE key = 17",
+      "K:UPDATE I:a1 K:SET I:v O:= I:v O:+ N:5 K:WHERE K:KEY O:= N:17 EOF" );
+    ( "UPDATE a2 SET v = v - 5 WHERE key = 3",
+      "K:UPDATE I:a2 K:SET I:v O:= I:v O:- N:5 K:WHERE K:KEY O:= N:3 EOF" );
+    ( "SELECT sum(v) FROM a1",
+      "K:SELECT K:SUM ( I:v ) K:FROM I:a1 EOF" );
+    ( "CREATE TABLE warehouse (w_id bigint PRIMARY KEY, w_name text, w_ytd double precision)",
+      "K:CREATE K:TABLE I:warehouse ( I:w_id I:bigint K:PRIMARY K:KEY , I:w_name I:text , I:w_ytd I:double I:precision ) EOF" );
+    ( "SELECT d_next_o_id FROM district WHERE d_w_id = 3 AND d_id = 7",
+      "K:SELECT I:d_next_o_id K:FROM I:district K:WHERE I:d_w_id O:= N:3 K:AND I:d_id O:= N:7 EOF" );
+    ( "UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = 3 AND d_id = 7",
+      "K:UPDATE I:district K:SET I:d_next_o_id O:= I:d_next_o_id O:+ N:1 K:WHERE I:d_w_id O:= N:3 K:AND I:d_id O:= N:7 EOF" );
+    ( "INSERT INTO orders (o_w_id, o_d_id, o_id, o_c_id, o_entry_d) VALUES (3, 7, 3001, 12, 0)",
+      "K:INSERT K:INTO I:orders ( I:o_w_id , I:o_d_id , I:o_id , I:o_c_id , I:o_entry_d ) K:VALUES ( N:3 , N:7 , N:3001 , N:12 , N:0 ) EOF" );
+    ( "INSERT INTO order_line (ol_w_id, ol_d_id, ol_o_id, ol_number, ol_i_id, ol_supply_w_id, ol_quantity, ol_amount) VALUES (3, 7, 3001, 1, 55, 4, 6, 27.600000)",
+      "K:INSERT K:INTO I:order_line ( I:ol_w_id , I:ol_d_id , I:ol_o_id , I:ol_number , I:ol_i_id , I:ol_supply_w_id , I:ol_quantity , I:ol_amount ) K:VALUES ( N:3 , N:7 , N:3001 , N:1 , N:55 , N:4 , N:6 , F:27.6 ) EOF" );
+    ( "UPDATE warehouse SET w_ytd = w_ytd + 1234.500000 WHERE w_id = 3",
+      "K:UPDATE I:warehouse K:SET I:w_ytd O:= I:w_ytd O:+ F:1234.5 K:WHERE I:w_id O:= N:3 EOF" );
+    ( "DELETE FROM new_order WHERE no_w_id = 3 AND no_d_id = 7                     AND no_o_id = 2100",
+      "K:DELETE K:FROM I:new_order K:WHERE I:no_w_id O:= N:3 K:AND I:no_d_id O:= N:7 K:AND I:no_o_id O:= N:2100 EOF" );
+    ( "SELECT count(*) FROM stock WHERE s_w_id = 3 AND s_quantity < 25",
+      "K:SELECT K:COUNT ( * ) K:FROM I:stock K:WHERE I:s_w_id O:= N:3 K:AND I:s_quantity O:< N:25 EOF" );
+    ( "CALL tpcc_payment(3, 7, 4, 2, 12, 310.250000)",
+      "K:CALL I:tpcc_payment ( N:3 , N:7 , N:4 , N:2 , N:12 , F:310.25 ) EOF" );
+    ( "SELECT 100.0 * sum(CASE WHEN part.p_type LIKE 'PROMO%' THEN lineitem.l_extendedprice ELSE 0 END) / sum(lineitem.l_extendedprice) FROM lineitem JOIN part ON lineitem.l_partkey = part.p_partkey",
+      "K:SELECT F:100 * K:SUM ( K:CASE K:WHEN I:part . I:p_type K:LIKE S:\"PROMO%\" K:THEN I:lineitem . I:l_extendedprice K:ELSE N:0 K:END ) O:/ K:SUM ( I:lineitem . I:l_extendedprice ) K:FROM I:lineitem K:JOIN I:part K:ON I:lineitem . I:l_partkey O:= I:part . I:p_partkey EOF" );
+    ( "WITH revenue AS (SELECT l_suppkey, sum(l_extendedprice) AS total FROM lineitem GROUP BY l_suppkey) SELECT s_name, total FROM supplier JOIN revenue ON supplier.s_suppkey = revenue.l_suppkey ORDER BY total DESC LIMIT 5",
+      "K:WITH I:revenue K:AS ( K:SELECT I:l_suppkey , K:SUM ( I:l_extendedprice ) K:AS I:total K:FROM I:lineitem K:GROUP K:BY I:l_suppkey ) K:SELECT I:s_name , I:total K:FROM I:supplier K:JOIN I:revenue K:ON I:supplier . I:s_suppkey O:= I:revenue . I:l_suppkey K:ORDER K:BY I:total K:DESC K:LIMIT N:5 EOF" );
+    ( "SELECT count(*) FROM lineitem AS l1 WHERE EXISTS (SELECT 1 FROM lineitem AS l2 WHERE l2.l_orderkey = l1.l_orderkey AND l2.l_suppkey <> l1.l_suppkey)",
+      "K:SELECT K:COUNT ( * ) K:FROM I:lineitem K:AS I:l1 K:WHERE K:EXISTS ( K:SELECT N:1 K:FROM I:lineitem K:AS I:l2 K:WHERE I:l2 . I:l_orderkey O:= I:l1 . I:l_orderkey K:AND I:l2 . I:l_suppkey O:<> I:l1 . I:l_suppkey ) EOF" );
+    ( "CREATE INDEX text_search_idx ON github_events USING GIN ((jsonb_path_query_array(data, '$.payload.commits[*].message')::text) gin_trgm_ops)",
+      "K:CREATE K:INDEX I:text_search_idx K:ON I:github_events K:USING K:GIN ( ( I:jsonb_path_query_array ( I:data , S:\"$.payload.commits[*].message\" ) O::: I:text ) I:gin_trgm_ops ) EOF" );
+    ( "SELECT (data->>'created_at')::date, sum(jsonb_array_length(data->'payload'->'commits')) FROM github_events WHERE jsonb_path_query_array(data, '$.payload.commits[*].message')::text ILIKE '%postgres%' GROUP BY 1 ORDER BY 1 ASC",
+      "K:SELECT ( I:data O:->> S:\"created_at\" ) O::: I:date , K:SUM ( I:jsonb_array_length ( I:data O:-> S:\"payload\" O:-> S:\"commits\" ) ) K:FROM I:github_events K:WHERE I:jsonb_path_query_array ( I:data , S:\"$.payload.commits[*].message\" ) O::: I:text K:ILIKE S:\"%postgres%\" K:GROUP K:BY N:1 K:ORDER K:BY N:1 K:ASC EOF" );
+    ( "INSERT INTO commits (event_id, day, first_message, n_commits) SELECT event_id, (data->>'created_at')::date, data->'payload'->'commits'->0->>'message', jsonb_array_length(data->'payload'->'commits') FROM github_events",
+      "K:INSERT K:INTO I:commits ( I:event_id , I:day , I:first_message , I:n_commits ) K:SELECT I:event_id , ( I:data O:->> S:\"created_at\" ) O::: I:date , I:data O:-> S:\"payload\" O:-> S:\"commits\" O:-> N:0 O:->> S:\"message\" , I:jsonb_array_length ( I:data O:-> S:\"payload\" O:-> S:\"commits\" ) K:FROM I:github_events EOF" );
+    (* mixed-case keywords; unreserved keywords as identifiers *)
+    ( "sElEcT Key, INDEX, do FROM T wHeRe key = 1 Order By key",
+      "K:SELECT K:KEY , K:INDEX , K:DO K:FROM I:t K:WHERE K:KEY O:= N:1 K:ORDER K:BY K:KEY EOF" );
+    ( "CREATE TABLE kv (key bigint PRIMARY KEY, index text, columnar bigint)",
+      "K:CREATE K:TABLE I:kv ( K:KEY I:bigint K:PRIMARY K:KEY , K:INDEX I:text , K:COLUMNAR I:bigint ) EOF" );
+    ( "Insert Into kv (key, index) Values (1, 'x') On Conflict Do Nothing",
+      "K:INSERT K:INTO I:kv ( K:KEY , K:INDEX ) K:VALUES ( N:1 , S:\"x\" ) K:ON K:CONFLICT K:DO K:NOTHING EOF" );
+    (* quoted identifiers; '' escapes *)
+    ( "SELECT \"MixedCase\", \"with space\", \"select\" FROM \"T\"",
+      "K:SELECT I:MixedCase , I:with space , I:select K:FROM I:T EOF" );
+    ( "SELECT 'it''s', '', '''', 'a''''b', 'no -- comment'",
+      "K:SELECT S:\"it's\" , S:\"\" , S:\"'\" , S:\"a''b\" , S:\"no -- comment\" EOF" );
+    (* -- comments, inside a string and out *)
+    ( "SELECT 1 -- first\n, 2 -- second",
+      "K:SELECT N:1 , N:2 EOF" );
+    ( "-- leading\nSELECT a--b\nFROM t --",
+      "K:SELECT I:a K:FROM I:t EOF" );
+    (* operators, != spelled <> *)
+    ( "SELECT a->>'k', a->'o'->'p', x::text, a != b, a <> b, a <= b, a >= b, a < b, a > b, a || b, a % 2, a / 2, a - 1, a + -1 FROM t",
+      "K:SELECT I:a O:->> S:\"k\" , I:a O:-> S:\"o\" O:-> S:\"p\" , I:x O::: I:text , I:a O:<> I:b , I:a O:<> I:b , I:a O:<= I:b , I:a O:>= I:b , I:a O:< I:b , I:a O:> I:b , I:a O:|| I:b , I:a O:% N:2 , I:a O:/ N:2 , I:a O:- N:1 , I:a O:+ O:- N:1 K:FROM I:t EOF" );
+    (* numbers and parameters *)
+    ( "SELECT 1e-3, .5, 1.5E+2, 2e3, 3., 0.25, 007 FROM t WHERE a = $12 AND b = $1",
+      "K:SELECT F:0.001 , F:0.5 , F:150 , F:2000 , F:3 , F:0.25 , N:7 K:FROM I:t K:WHERE I:a O:= $12 K:AND I:b O:= $1 EOF" );
+    ( "PREPARE q AS SELECT * FROM t WHERE k = $1; EXECUTE q(5); DEALLOCATE q",
+      "K:PREPARE I:q K:AS K:SELECT * K:FROM I:t K:WHERE I:k O:= $1 ; K:EXECUTE I:q ( N:5 ) ; K:DEALLOCATE I:q EOF" );
+    ( "BEGIN; COPY events FROM STDIN; COMMIT PREPARED 'citus_coordinator_1_1'",
+      "K:BEGIN ; K:COPY I:events K:FROM K:STDIN ; K:COMMIT K:PREPARED S:\"citus_coordinator_1_1\" EOF" );
+    ( "",
+      "EOF" );
+  ]
+
+let golden_errors =
+  [
+    ("'unterminated", "parse error: unterminated string at offset 13");
+    ("\"unterminated", "parse error: unterminated quoted identifier at offset 13");
+    ("SELECT 'it''s", "parse error: unterminated string at offset 13");
+    ("SELECT @", "parse error: unexpected character '@' at offset 7");
+    ("SELECT a ! b", "parse error: unexpected character '!' at offset 9");
+    ("SELECT a : b", "parse error: unexpected character ':' at offset 9");
+    ("SELECT a | b", "parse error: unexpected character '|' at offset 9");
+    ("SELECT $x", "parse error: bad parameter at offset 8");
+    ("SELECT 1e", "failure: float_of_string");
+    ("SELECT FROM t", "parse error: expected expression (at token 1: FROM)");
+    ("SELECT a FROM t WHERE", "parse error: expected expression (at token 5: <eof>)");
+    ("SELECT 1 2", "parse error: trailing input after statement (at token 2: 2)");
+    ("INSERT INTO t VALUES (1", "parse error: expected ) (at token 6: <eof>)");
+    ("UPDATE t SET a 1", "parse error: expected = (at token 4: 1)");
+    ("CREATE TABLE t (a bigint", "parse error: expected ) (at token 6: <eof>)");
+    ("SELECT a FROM t ORDER", "parse error: expected BY (at token 5: <eof>)");
+    ("DROP t", "parse error: expected TABLE (at token 1: identifier \"t\")");
+    ("", "parse error: expected a statement (at token 0: <eof>)");
+  ]
+
+
+let test_golden_tokens () =
+  List.iter
+    (fun (src, expected) ->
+      let toks = Lexer.tokens src in
+      Alcotest.(check string) src expected
+        (String.concat " " (List.map render_token (Array.to_list toks)));
+      Alcotest.(check int) ("list view of " ^ src) (Array.length toks)
+        (List.length (Lexer.tokenize src)))
+    golden_tokens
+
+(* every lex and parse error keeps its message and offset *)
+let test_golden_errors () =
+  List.iter
+    (fun (src, expected) ->
+      let got =
+        match Parser.parse_statement src with
+        | _ -> "ok"
+        | exception Parser.Parse_error m -> "parse error: " ^ m
+        | exception Failure m -> "failure: " ^ m
+      in
+      Alcotest.(check string) src expected got)
+    golden_errors
+
+let test_keyword_table () =
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) k true (Lexer.is_keyword k);
+      Alcotest.(check bool) k true (Lexer.is_keyword (String.lowercase_ascii k)))
+    Lexer.keywords;
+  List.iter
+    (fun w -> Alcotest.(check bool) w false (Lexer.is_keyword w))
+    [ ""; "selec"; "selects"; "key_"; "usertable"; "ycsb_key"; "x" ]
+
 let () =
   Alcotest.run "sqlfront"
     [
@@ -523,6 +678,9 @@ let () =
           Alcotest.test_case "numbers" `Quick test_lexer_numbers;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
           Alcotest.test_case "operators" `Quick test_operator_tokenization;
+          Alcotest.test_case "golden token streams" `Quick test_golden_tokens;
+          Alcotest.test_case "golden errors" `Quick test_golden_errors;
+          Alcotest.test_case "keyword table" `Quick test_keyword_table;
         ] );
       ( "deparse",
         [
