@@ -73,8 +73,9 @@ let run_mode ~consistency ~skewed () =
         let amount = 1 + Random.State.int rng 5 in
         let fumble = i mod fumble_every = fumble_every - 1 in
         if fumble then
-          Citus.State.inject_failure st
-            ~node:(Printf.sprintf "worker%d" (1 + Random.State.int rng 3))
+          Sim.Fault.refuse_statements fault
+            ~from_:st.Citus.State.local.Cluster.Topology.node_name
+            ~to_:(Printf.sprintf "worker%d" (1 + Random.State.int rng 3))
             ~matching:"COMMIT PREPARED";
         (try
            exec "BEGIN";
@@ -88,7 +89,7 @@ let run_mode ~consistency ~skewed () =
                 amount k2);
            exec "COMMIT"
          with _ -> ( try exec "ROLLBACK" with _ -> ()));
-        if fumble then Citus.State.clear_failures st;
+        if fumble then Sim.Fault.clear_refusals fault;
         let t0 = Sim.Clock.now clock in
         (match
            (Engine.Instance.exec s "SELECT sum(balance) FROM accounts")

@@ -8,8 +8,10 @@
      \tables           Citus tables
      \explain <query>  distributed plan without executing
      \maintenance      run the maintenance daemon once
-     \partition <node> cut a node off the network (failure injection)
-     \heal <node>      reconnect a partitioned node
+     \partition <node> cut the coordinator->node link in the cluster's
+                       fault plan (Sim.Fault): statements to the node
+                       fail with "node ... unavailable"
+     \heal <node>      restore that link
      \prepared         prepared statements in this session
      \q                quit
 
@@ -60,10 +62,14 @@ let () =
   let workers =
     if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 2
   in
-  let cluster = Cluster.Topology.create ~workers () in
+  (* a fault plan with no faults configured changes nothing until
+     \partition cuts a link *)
+  let cluster = Cluster.Topology.create ~fault_seed:0 ~workers () in
+  let fault = Option.get (Cluster.Topology.fault cluster) in
   let citus = Citus.Api.install cluster in
   let session = Citus.Api.connect citus in
   let st = Citus.Api.coordinator_state citus in
+  let local = st.Citus.State.local.Cluster.Topology.node_name in
   Printf.printf
     "citus-ocaml shell — coordinator + %d workers, 32 shards per table\n\
      \\q quits; \\shards, \\tables, \\explain <sql>, \\maintenance, \
@@ -106,16 +112,16 @@ let () =
       let node = String.sub line 11 (String.length line - 11) in
       (match Cluster.Topology.find_node cluster node with
        | _ ->
-         Citus.State.partition_node st node;
-         Printf.printf "%s partitioned from the network\n" node
+         Sim.Fault.partition_link fault ~from_:local ~to_:node;
+         Printf.printf "link %s->%s cut\n" local node
        | exception Invalid_argument m -> Printf.printf "%s\n" m);
       loop ()
     | line when String.length line > 6 && String.sub line 0 6 = {|\heal |} ->
       let node = String.sub line 6 (String.length line - 6) in
       (match Cluster.Topology.find_node cluster node with
        | _ ->
-         Citus.State.heal_node st node;
-         Printf.printf "%s reconnected\n" node
+         Sim.Fault.heal_link fault ~from_:local ~to_:node;
+         Printf.printf "link %s->%s restored\n" local node
        | exception Invalid_argument m -> Printf.printf "%s\n" m);
       loop ()
     | {|\prepared|} ->

@@ -348,7 +348,7 @@ let execute (t : State.t) coord_session (tasks : Plan.task list) =
     pool.sp_busy <- List.filter (fun c -> not (c == conn)) pool.sp_busy;
     Sim.Sched.broadcast sched pool.sp_cond
   in
-  (* One attempt of [task] on [node_name]. On Network_error the connection
+  (* One attempt of [task] on [node_name]. On Node_unavailable the connection
      is withdrawn from the coordinator transaction (its writes are lost;
      committing the survivors must not touch it) before re-raising. A
      read that lands in a 2PC in-doubt window ([Txn.Manager.In_doubt])
@@ -392,7 +392,7 @@ let execute (t : State.t) coord_session (tasks : Plan.task list) =
                sitting in a transaction block would go back to the pool
                dirty — failing every later statement on it with "already
                in a transaction block". Registration guarantees the
-               session's COMMIT/ROLLBACK fan-out (or the Network_error
+               session's COMMIT/ROLLBACK fan-out (or the Node_unavailable
                withdrawal below) sweeps it whatever the BEGIN's fate;
                [register_backend] is a no-op if the BEGIN never ran. *)
             st.State.txn_conns <- conn :: st.State.txn_conns;
@@ -453,8 +453,7 @@ let execute (t : State.t) coord_session (tasks : Plan.task list) =
           end;
           result
         with
-        | (State.Network_error _ | Cluster.Connection.Node_unavailable _) as e
-          ->
+        | Cluster.Connection.Node_unavailable _ as e ->
           if List.memq conn st.State.txn_conns then
             withdraw_txn_conn t st conn ~node:node.Cluster.Topology.node_name;
           raise e
@@ -502,9 +501,7 @@ let execute (t : State.t) coord_session (tasks : Plan.task list) =
         (fun node_name ->
           match run_on sched task node_name with
           | r -> successes := r :: !successes
-          | exception
-              ((State.Network_error _ | Cluster.Connection.Node_unavailable _)
-               as e) ->
+          | exception (Cluster.Connection.Node_unavailable _ as e) ->
             failed := node_name :: !failed;
             last_err := Some e)
         candidates;
@@ -530,10 +527,7 @@ let execute (t : State.t) coord_session (tasks : Plan.task list) =
         | node_name :: rest ->
           (match run_on sched task node_name with
            | r -> r
-           | exception
-               (State.Network_error _ | Cluster.Connection.Node_unavailable _)
-             ->
-             try_nodes rest)
+           | exception Cluster.Connection.Node_unavailable _ -> try_nodes rest)
       in
       match candidates with
       | primary :: (secondary :: _ as rest) when hedge_threshold > 0.0 ->
@@ -595,9 +589,7 @@ let execute (t : State.t) coord_session (tasks : Plan.task list) =
                  end;
                  r
                | Error e -> raise e))
-         | Error
-             (State.Network_error _ | Cluster.Connection.Node_unavailable _)
-           ->
+         | Error (Cluster.Connection.Node_unavailable _) ->
            (* hard failure before the hedge fired: ordinary failover *)
            try_nodes rest
          | Error e -> raise e)

@@ -11,8 +11,9 @@
     - {b replication and failover}: a write whose shard has several active
       placements runs on every replica (statement-based replication, §3.3);
       replicas that fail are marked {!Metadata.Inactive} as long as one
-      succeeded. A read failing with {!State.Network_error} outside an
-      explicit transaction fails over to the next active replica;
+      succeeded. A read failing with {!Cluster.Connection.Node_unavailable}
+      outside an explicit transaction fails over to the next active
+      replica;
     - {b transaction blocks}: writes (and any statement inside an explicit
       coordinator transaction) run inside [BEGIN] on the worker connection;
       commit happens later through {!Twopc}'s transaction callbacks;
@@ -48,7 +49,7 @@ val mark_placement_lost : State.t -> shard_id:int -> node:string -> unit
 (** Execute tasks concurrently under {!State.with_sched}; returns
     per-task results (aligned with the input order) and the timing
     report. Raises whatever task execution raises
-    ({!Engine.Executor.Would_block}, {!State.Network_error},
+    ({!Engine.Executor.Would_block}, {!Cluster.Connection.Node_unavailable},
     {!State.Txn_replica_lost}, ...). *)
 val execute :
   State.t ->

@@ -24,10 +24,12 @@ let create_restore_point (t : State.t) name =
           let name_n = node.Cluster.Topology.node_name in
           if not (State.reachable t name_n) then
             raise
-              (State.Network_error
-                 (Printf.sprintf
-                    "cannot create restore point %s: node %s is unreachable"
-                    name name_n));
+              (Cluster.Connection.Node_unavailable
+                 {
+                   node = name_n;
+                   reason =
+                     Printf.sprintf "cannot create restore point %s" name;
+                 });
           (* writing the record on a remote node costs a round trip *)
           if not (String.equal name_n t.State.local.Cluster.Topology.node_name)
           then begin

@@ -10,8 +10,9 @@
 
 (** [create_restore_point t name] blocks writes to the commit-records
     table, writes the named restore point into the WAL of every reachable
-    node, and releases the block. Raises {!State.Network_error} if a node
-    is unreachable (a restore point must cover the whole cluster). *)
+    node, and releases the block. Raises
+    {!Cluster.Connection.Node_unavailable} if a node is unreachable (a
+    restore point must cover the whole cluster). *)
 val create_restore_point : State.t -> string -> unit
 
 (** The WAL position of a restore point on every node, or [None] for nodes

@@ -22,8 +22,9 @@ let connection_to (t : State.t) st session node_name =
   conn
 
 (* Ship one batch to every active replica of [shard]. A replica that fails
-   is marked Inactive — together with its colocated siblings — as long as
-   at least one replica took the batch; with no survivors the COPY fails. *)
+   (the fault plan refuses the connect or the round trip) is marked
+   Inactive — together with its colocated siblings — as long as at least
+   one replica took the batch; with no survivors the COPY fails. *)
 let copy_replicated (t : State.t) st session ~(shard : Metadata.shard)
     ~shard_table ~columns lines =
   let nodes = Metadata.placements t.State.metadata shard.Metadata.shard_id in
@@ -31,8 +32,6 @@ let copy_replicated (t : State.t) st session ~(shard : Metadata.shard)
   List.iter
     (fun node ->
       try
-        if not (State.reachable t node) then
-          raise (State.Network_error (node ^ " is unreachable"));
         let conn = connection_to t st session node in
         if Engine.Instance.in_transaction session then begin
           (* later statements in this transaction must find the
@@ -44,17 +43,22 @@ let copy_replicated (t : State.t) st session ~(shard : Metadata.shard)
         let n = Cluster.Connection.copy conn ~table:shard_table ~columns lines in
         Health.record_success t.State.health node;
         if !copied = None then copied := Some n
-      with State.Network_error _ | Cluster.Connection.Node_unavailable _ ->
+      with Cluster.Connection.Node_unavailable _ ->
         Health.record_failure t.State.health node;
         failed := node :: !failed)
     nodes;
-  match !copied with
-  | None ->
+  match !copied, !failed with
+  | None, node :: _ ->
     raise
-      (State.Network_error
-         (Printf.sprintf "no replica of shard %d reachable during COPY"
-            shard.Metadata.shard_id))
-  | Some n ->
+      (Cluster.Connection.Node_unavailable
+         {
+           node;
+           reason =
+             Printf.sprintf "no replica of shard %d reachable during COPY"
+               shard.Metadata.shard_id;
+         })
+  | None, [] -> assert false (* [placements] is never empty *)
+  | Some n, _ ->
     List.iter
       (fun node ->
         Adaptive_executor.mark_placement_lost t

@@ -5,11 +5,13 @@
    health accounting) and the [Adaptive_executor]/[Dist_executor]
    runners — each reporting infrastructure failures as a different
    exception. This module now owns the per-connection primitives: the
-   [_exn] forms are the raising internals (network simulation guards +
-   circuit-breaker accounting over [Connection.exec_async]); the typed
-   forms wrap them into [Ok _ | Error of exec_error] for callers above
-   the Citus layer. The executors themselves sit {e above} this module
-   and build on the [_exn] forms.
+   [_exn] forms are the raising internals (the fault plan's statement
+   refusals + circuit-breaker accounting over [Connection.exec_async]),
+   and every infrastructure failure they raise is
+   [Connection.Node_unavailable]; the typed forms wrap them into
+   [Ok _ | Error of exec_error] for callers above the Citus layer. The
+   executors themselves sit {e above} this module and build on the
+   [_exn] forms.
 
    Deliberately NOT mapped to [Error]:
    - [Engine.Executor.Would_block] — a retryable lock-wait signal, part
@@ -19,9 +21,8 @@
 
 type exec_error =
   | Node_unavailable of { node : string; reason : string }
-      (* fault-injection layer rejected the round trip *)
-  | Network_error of string
-      (* partition or crash observed mid-statement *)
+      (* the fault plan refused the statement or lost the round trip,
+         or the node's session died *)
   | Txn_replica_lost of string
       (* sole replica of in-transaction writes is gone; must abort *)
   | Catalog_error of string
@@ -38,7 +39,6 @@ exception Bind_failure of { stmt_name : string; param : int }
 let error_message = function
   | Node_unavailable { node; reason } ->
     Printf.sprintf "node %s unavailable: %s" node reason
-  | Network_error m -> m
   | Txn_replica_lost node ->
     Printf.sprintf
       "node %s failed holding the only replica of data this transaction \
@@ -61,15 +61,15 @@ let wrap f =
     Error (Node_unavailable { node; reason })
   | exception Cluster.Connection.Timed_out { node; _ } ->
     Error (Timed_out { node })
-  | exception State.Network_error m -> Error (Network_error m)
   | exception State.Txn_replica_lost node -> Error (Txn_replica_lost node)
   | exception Metadata.Catalog_error m -> Error (Catalog_error m)
   | exception Bind_failure { stmt_name; param } ->
     Error (Bind_error { stmt_name; param })
 
-(* Execute on a connection, simulating the network: partition and
-   injected-failure checks up front, then the split submit/await round
-   trip (bounded by [?deadline], absolute virtual time). Every
+(* Execute on a connection, simulating the network: the fault plan's
+   statement refusals up front (a pure lookup, before the latency draw
+   and the HLC send stamp), then the split submit/await round trip
+   (bounded by [?deadline], absolute virtual time). Every
    infrastructure-fault outcome feeds the node's circuit breaker;
    statement errors do not; a deadline expiry feeds the breaker's
    latency-aware trip signal instead of the failure one. [?snapshot]
@@ -80,8 +80,16 @@ let on_conn_exn ?deadline ?snapshot (t : State.t) conn sql =
   let node = (Cluster.Connection.node conn).Cluster.Topology.node_name in
   let run () =
     try
-      State.check_reachable t node;
-      State.check_injected t node sql;
+      (match Cluster.Topology.fault t.State.cluster with
+       | None -> ()
+       | Some f ->
+         (match
+            Sim.Fault.refusal f
+              ~from_:t.State.local.Cluster.Topology.node_name ~to_:node ~sql
+          with
+          | None -> ()
+          | Some reason ->
+            raise (Cluster.Connection.Node_unavailable { node; reason })));
       let r =
         (Cluster.Connection.(await ?deadline (exec_async conn sql))
          [@lint.blocking])
@@ -92,9 +100,9 @@ let on_conn_exn ?deadline ?snapshot (t : State.t) conn sql =
       Health.record_success t.State.health node;
       r
     with
-    | (State.Network_error _ | Cluster.Connection.Node_unavailable _) as e ->
-      (* both are infrastructure faults, not statement errors: they feed
-         the breaker and stay distinguishable for the executors *)
+    | Cluster.Connection.Node_unavailable _ as e ->
+      (* an infrastructure fault, not a statement error: it feeds the
+         breaker and stays distinguishable for the executors *)
       Health.record_failure t.State.health node;
       raise e
     | Cluster.Connection.Timed_out _ as e ->
@@ -115,7 +123,7 @@ let on_conn_exn ?deadline ?snapshot (t : State.t) conn sql =
 let ast_on_conn_exn ?deadline ?snapshot t conn stmt =
   on_conn_exn ?deadline ?snapshot t conn (Sqlfront.Deparse.statement stmt)
 
-(* Raw round trip: no partition check, no breaker accounting — for
+(* Raw round trip: no refusal check, no breaker accounting — for
    best-effort cleanup (ROLLBACK on a connection that just failed) and
    shard-local plumbing whose failures the caller counts itself. *)
 let raw_on_conn_exn conn sql =

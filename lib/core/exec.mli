@@ -1,8 +1,8 @@
 (** Unified typed execution boundary.
 
     Every per-connection statement the Citus layer sends goes through
-    here. The [_exn] forms are the raising primitives — partition /
-    injected-failure guards plus circuit-breaker accounting over
+    here. The [_exn] forms are the raising primitives — the fault
+    plan's statement refusals plus circuit-breaker accounting over
     {!Cluster.Connection.exec_async} — used by the executors and by
     engine-internal code whose control flow is exceptions (2PC cleanup
     paths). The typed forms return [Ok result | Error of exec_error]
@@ -17,9 +17,8 @@
 
 type exec_error =
   | Node_unavailable of { node : string; reason : string }
-      (** the fault-injection layer rejected the round trip *)
-  | Network_error of string
-      (** partition or crash observed mid-statement *)
+      (** the fault plan refused the statement or lost the round trip
+          (node down, link cut, drop), or the node's session died *)
   | Txn_replica_lost of string
       (** the sole replica of in-transaction writes is gone; abort *)
   | Catalog_error of string  (** no active placement / unknown shard *)
@@ -47,11 +46,11 @@ val error_message : exec_error -> string
 val wrap : (unit -> 'a) -> ('a, exec_error) result
 
 (** Execute on a connection, simulating the network: raises
-    {!State.Network_error} if the target node is partitioned away or an
-    injected failure matches, lets {!Cluster.Connection.Node_unavailable}
-    from the fault layer through unchanged, and feeds every
-    infrastructure-fault outcome (but no statement error) into the
-    node's circuit breaker. [?deadline] (absolute virtual time) bounds
+    {!Cluster.Connection.Node_unavailable} if a {!Sim.Fault.refusal}
+    rule from this node matches the statement (before it is submitted,
+    so it never runs) or the fault plan fails the round trip, and feeds
+    every infrastructure-fault outcome (but no statement error) into
+    the node's circuit breaker. [?deadline] (absolute virtual time) bounds
     the await: expiry raises {!Cluster.Connection.Timed_out} and feeds
     {!Health.record_slow} — the latency-aware trip — instead of the
     hard-failure path. [?snapshot] pins the remote session's read
@@ -76,7 +75,7 @@ val ast_on_conn_exn :
   Sqlfront.Ast.statement ->
   Engine.Instance.result
 
-(** Raw round trip: no partition guard, no breaker accounting — for
+(** Raw round trip: no refusal check, no breaker accounting — for
     best-effort cleanup on connections that may be mid-failure and for
     shard-local plumbing that counts its own failures. Prefer
     {!on_conn_exn} when a {!State.t} is at hand. *)

@@ -1,12 +1,11 @@
 (** Typed prepared-statement surface over a coordinator session.
 
     The supported client API for the OLTP hot path: [prepare] once,
-    then [execute] with typed {!Datum.t} arguments. Unlike the
-    deprecated [Engine.Instance.exec_params] (which re-parses and
-    re-plans on every call), [execute] hands an [EXECUTE] AST node
-    directly to the coordinator, where the distributed plan cache
-    ({!Plancache}) reuses the memoized per-shard plan and only re-prunes
-    the target shard from the bound distribution value.
+    then [execute] with typed {!Datum.t} arguments. [execute] builds no
+    SQL text: it hands an [EXECUTE] AST node with the datums as
+    constants directly to the coordinator, where the distributed plan
+    cache ({!Plancache}) reuses the memoized per-shard plan and only
+    re-prunes the target shard from the bound distribution value.
 
     A session's prepared statements are session-local state
     (PostgreSQL semantics); the plan cache behind them is cluster-wide

@@ -50,12 +50,8 @@ type t = {
   sessions : ((string * int), session_state) Hashtbl.t;
   shared_counters : (string, int ref) Hashtbl.t;
   registry : ((string * int), string * int) Hashtbl.t;
-  mutable partitioned : string list;
-  mutable injected_failures : (string * string) list;
   mutable next_gid_seq : int;
 }
-
-exception Network_error of string
 
 exception Txn_replica_lost of string
 
@@ -86,8 +82,6 @@ let create ~cluster ~metadata ~metasync ~local ~registry =
     sessions = Hashtbl.create 64;
     shared_counters = Hashtbl.create 8;
     registry;
-    partitioned = [];
-    injected_failures = [];
     next_gid_seq = 1;
   }
 
@@ -165,23 +159,6 @@ let checkout t st ?(force = false) (node : Cluster.Topology.node) =
   end
   else None
 
-let check_reachable t node_name =
-  if List.mem node_name t.partitioned then
-    raise (Network_error (Printf.sprintf "node %s is unreachable" node_name))
-
-let check_injected t node sql =
-  List.iter
-    (fun (n, pattern) ->
-      if
-        String.equal n node
-        && Engine.Expr_eval.like_match ~pattern:("%" ^ pattern ^ "%") ~ci:false
-             sql
-      then
-        raise
-          (Network_error
-             (Printf.sprintf "injected failure on %s for %S" node pattern)))
-    t.injected_failures
-
 let node_available t node = Health.available t.health node
 
 (* One cooperative-scheduler run wired to this cluster: ready-queue
@@ -212,7 +189,7 @@ let with_sched t f =
 let with_retry ?(attempts = 3) t ~node f =
   let rec go n =
     try f ()
-    with (Network_error _ | Cluster.Connection.Node_unavailable _) as e ->
+    with Cluster.Connection.Node_unavailable _ as e ->
       if n <= 1 then raise e
       else begin
         Sim.Clock.advance t.cluster.Cluster.Topology.clock
@@ -242,21 +219,9 @@ let parse_gid gid =
      | None -> None)
   | _ -> None
 
-let inject_failure t ~node ~matching =
-  t.injected_failures <- (node, matching) :: t.injected_failures
-
-let clear_failures t = t.injected_failures <- []
-
-let partition_node t name =
-  if not (List.mem name t.partitioned) then t.partitioned <- name :: t.partitioned
-
-let heal_node t name =
-  t.partitioned <- List.filter (fun n -> not (String.equal n name)) t.partitioned
-
 let reachable t name =
-  (not (List.mem name t.partitioned))
-  && Cluster.Topology.route_up t.cluster
-       ~from_:t.local.Cluster.Topology.node_name ~to_:name
+  Cluster.Topology.route_up t.cluster
+    ~from_:t.local.Cluster.Topology.node_name ~to_:name
 
 let reset_sessions t =
   Hashtbl.reset t.sessions;

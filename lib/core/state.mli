@@ -4,8 +4,8 @@
     pools with shard affinity, the cluster-wide shared connection counters
     the adaptive executor respects (§3.6.1), the distributed-transaction
     bookkeeping that 2PC and the distributed deadlock detector consume
-    (§3.7), and a network-partition switch used for failure-injection
-    tests. *)
+    (§3.7). Faults (crashes, link cuts, drops, statement refusals) live
+    in the cluster's {!Sim.Fault} plan, not here. *)
 
 (** Distributed read consistency level (the [citus.consistency] knob):
     - [Eventual]: plain per-node MVCC; a multi-node read can observe a
@@ -97,14 +97,8 @@ type t = {
           which distributed transaction a worker transaction belongs to.
           Shared cluster-wide; the distributed deadlock detector merges
           per-node wait edges through it (§3.7.3). *)
-  mutable partitioned : string list;  (** unreachable nodes (failure injection) *)
-  mutable injected_failures : (string * string) list;
-      (** (node, SQL substring) pairs: matching statements fail with
-          {!Network_error} — lets tests break 2PC at exact points *)
   mutable next_gid_seq : int;
 }
-
-exception Network_error of string
 
 (** A transaction connection failed and one of the shard groups it had
     written has no other active replica: the transaction cannot continue
@@ -143,14 +137,6 @@ val checkout :
     reported the crash. *)
 val pool_of : t -> session_state -> string -> Cluster.Connection.t list
 
-(** Network-simulation guards, used by [Exec]'s raising primitives:
-    [check_reachable] raises {!Network_error} when the node is
-    partitioned away; [check_injected] raises it when the statement
-    matches an {!inject_failure} pattern for the node. *)
-val check_reachable : t -> string -> unit
-
-val check_injected : t -> string -> string -> unit
-
 (** [with_sched t f] runs [f] under a {!Sim.Sched} wired to this
     cluster: the topology's [sched_seed] orders ready-queue tiebreaks
     and every virtual-clock jump fires {!Cluster.Topology.fault_tick},
@@ -164,7 +150,7 @@ val with_sched : t -> (Sim.Sched.t -> 'a) -> 'a
 val node_available : t -> string -> bool
 
 (** [with_retry t ~node f] runs [f], retrying up to [attempts] times on
-    {!Network_error} / {!Cluster.Connection.Node_unavailable} with the
+    {!Cluster.Connection.Node_unavailable} with the
     breaker's backoff — stretched by a bounded, seeded jitter draw
     ({!Cluster.Topology.retry_jitter}) so retry storms de-synchronize —
     advanced on the simulated clock between attempts. Re-raises after
@@ -180,21 +166,9 @@ val fresh_gid : t -> coord_xid:int -> string
 (** Parse a gid back into (coordinating node name, coordinator xid). *)
 val parse_gid : string -> (string * int) option
 
-(** Fail statements containing [matching] sent to [node] (tests: break a
-    2PC between PREPARE and COMMIT PREPARED, etc.). *)
-val inject_failure : t -> node:string -> matching:string -> unit
-
-val clear_failures : t -> unit
-
-(** Sever / restore connectivity to a node (tests, §3.7.2 recovery). *)
-val partition_node : t -> string -> unit
-
-val heal_node : t -> string -> unit
-
-(** Reachability of [name] from this node: not partitioned away by
-    {!partition_node} and, when the cluster has a fault plan attached,
-    alive with both link directions intact
-    ({!Cluster.Topology.route_up}). *)
+(** Reachability of [name] from this node: when the cluster has a
+    fault plan attached, alive with both link directions intact
+    ({!Cluster.Topology.route_up}); always [true] without one. *)
 val reachable : t -> string -> bool
 
 (** Drop all session pools (used when simulating coordinator restart). *)

@@ -6,6 +6,8 @@ type verdict =
 
 type armed = { matching : string; lose_reply : bool }
 
+type refusal = { r_from : string; r_to : string; r_matching : string }
+
 type event =
   | Ev_crash of { node : string; down_for : float option }
   | Ev_restart of string
@@ -37,6 +39,7 @@ type t = {
           [now + offset + drift * (now - since)] *)
   mutable susp_hazard : float * float;  (** (probability, micro-stall) *)
   armed : (string, armed) Hashtbl.t;
+  mutable refusals : refusal list;
   mutable pending : (float * int * event) list;  (** sorted by (time, seq) *)
   mutable next_seq : int;
   mutable crash_obs : (string -> unit) list;
@@ -62,6 +65,7 @@ let create ?(seed = 0) ~clock () =
     skews = Hashtbl.create 4;
     susp_hazard = (0.0, 0.0);
     armed = Hashtbl.create 4;
+    refusals = [];
     pending = [];
     next_seq = 0;
     crash_obs = [];
@@ -309,6 +313,28 @@ let contains_substring s sub =
   in
   at 0
 
+(* Refusals are a pure lookup: setting, matching and clearing one draws
+   no random value and writes no trace line, so a rule that never
+   matches leaves a same-seed run bit-identical. *)
+let refuse_statements t ~from_ ~to_ ~matching =
+  t.refusals <-
+    { r_from = from_; r_to = to_; r_matching = matching } :: t.refusals
+
+let clear_refusals t = t.refusals <- []
+
+let refusal t ~from_ ~to_ ~sql =
+  List.find_map
+    (fun r ->
+      if
+        String.equal r.r_from from_ && String.equal r.r_to to_
+        && contains_substring sql r.r_matching
+      then
+        Some
+          (Printf.sprintf "statement refused %s->%s (matching %S)" from_ to_
+             r.r_matching)
+      else None)
+    t.refusals
+
 let after_statement t ~node ~sql =
   match Hashtbl.find_opt t.armed node with
   | Some { matching; lose_reply } when contains_substring sql matching ->
@@ -329,6 +355,7 @@ let quiesce t =
   Hashtbl.reset t.skews;
   t.susp_hazard <- (0.0, 0.0);
   Hashtbl.reset t.armed;
+  t.refusals <- [];
   let downed = Hashtbl.fold (fun n () acc -> n :: acc) t.down [] in
   List.iter (restart_now t) (List.sort compare downed);
   note t "quiesce"

@@ -22,6 +22,9 @@
     - {b crash-after-statement}: a one-shot trigger that crashes a node
       right after it executes a matching statement — this is how a
       worker dies between [PREPARE TRANSACTION] and [COMMIT PREPARED].
+    - {b statement refusal}: matching statements on one directed link
+      never run, until cleared — how a participant misses its
+      [COMMIT PREPARED] and waits for recovery.
 
     With no faults configured every check returns [Deliver] and draws
     from the RNG anyway, keeping the random stream identical whether or
@@ -82,6 +85,24 @@ val set_drop_rate : ?node:string -> t -> request:float -> reply:float -> unit
     never sees the statement's success. *)
 val arm_crash_after :
   t -> node:string -> matching:string -> ?lose_reply:bool -> unit -> unit
+
+(** {2 Statement refusal} *)
+
+(** [refuse_statements t ~from_ ~to_ ~matching] refuses every statement
+    [from_] sends to [to_] whose SQL contains [matching] (case-sensitive
+    substring), until {!clear_refusals} or {!quiesce}. Other origins'
+    statements to [to_] are unaffected. Refusals draw no random value
+    and write no trace line. *)
+val refuse_statements :
+  t -> from_:string -> to_:string -> matching:string -> unit
+
+val clear_refusals : t -> unit
+
+(** The reason [sql] from [from_] to [to_] is refused, if a rule
+    matches. A pure lookup: no random draw, no round trip, no trace
+    line. The caller consults it before submitting the statement, so a
+    refused statement never runs. *)
+val refusal : t -> from_:string -> to_:string -> sql:string -> string option
 
 (** {2 Gray failures: latency, stalls, suspension hazard}
 
@@ -186,8 +207,9 @@ val after_statement :
 
 (** End the storm so invariants can be checked: cancel scheduled events,
     heal all links, zero all drop rates and latency distributions, clear
-    stalls, clock skews and the suspension hazard, disarm triggers, and
-    restart every down node (replaying WALs). *)
+    stalls, clock skews and the suspension hazard, disarm triggers,
+    clear statement refusals, and restart every down node (replaying
+    WALs). *)
 val quiesce : t -> unit
 
 (** Every fault event so far, oldest first, timestamped with virtual

@@ -1,13 +1,20 @@
 (* Integration tests for the Citus layer: metadata, planners, distributed
    execution, 2PC, deadlock detection, COPY, INSERT..SELECT, DDL, MX. *)
 
-let make ?(workers = 2) ?(shard_count = 8) () =
-  let cluster = Cluster.Topology.create ~workers () in
+let make ?(workers = 2) ?(shard_count = 8) ?fault_seed () =
+  let cluster = Cluster.Topology.create ?fault_seed ~workers () in
   let citus = Citus.Api.install ~shard_count cluster in
   let s = Citus.Api.connect citus in
   (cluster, citus, s)
 
 let exec s sql = Engine.Instance.exec s sql
+
+(* The cluster's fault plan and the node [st] runs on: partitions and
+   statement refusals are cut on the plan's [here st -> node] link. *)
+let plan (st : Citus.State.t) =
+  Option.get (Cluster.Topology.fault st.Citus.State.cluster)
+
+let here (st : Citus.State.t) = st.Citus.State.local.Cluster.Topology.node_name
 
 let one_int s sql =
   match (exec s sql).Engine.Instance.rows with
@@ -572,7 +579,7 @@ let test_2pc_recovery_after_partition () =
   (* break the window between PREPARE and COMMIT PREPARED on one node:
      the coordinator commits (records durable), the worker keeps a
      prepared transaction, and the recovery daemon finishes the job *)
-  let _, citus, s = make () in
+  let _, citus, s = make ~fault_seed:0 () in
   setup_items s;
   load_items s;
   let st = Citus.Api.coordinator_state citus in
@@ -584,7 +591,8 @@ let test_2pc_recovery_after_partition () =
         .Citus.Metadata.shard_id
   in
   let lost_node = node_of k2 in
-  Citus.State.inject_failure st ~node:lost_node ~matching:"COMMIT PREPARED";
+  Sim.Fault.refuse_statements (plan st) ~from_:(here st)
+    ~to_:lost_node ~matching:"COMMIT PREPARED";
   ignore (exec s "BEGIN");
   ignore (exec s (Printf.sprintf "UPDATE items SET qty = 555 WHERE key = %d" k1));
   ignore (exec s (Printf.sprintf "UPDATE items SET qty = 555 WHERE key = %d" k2));
@@ -609,7 +617,7 @@ let test_2pc_recovery_after_partition () =
     (Citus.Twopc.commit_record_count st > 0);
   (* the failure heals; the recovery daemon compares prepared transactions
      against the commit records and commits the orphan (§3.7.2) *)
-  Citus.State.clear_failures st;
+  Sim.Fault.clear_refusals (plan st);
   let committed, rolled_back = Citus.Twopc.recover st in
   Alcotest.(check int) "recovery committed it" 1 committed;
   Alcotest.(check int) "nothing rolled back" 0 rolled_back;
@@ -622,7 +630,7 @@ let test_2pc_recovery_after_partition () =
 let test_2pc_recovery_rolls_back_orphans () =
   (* a prepared transaction whose coordinator aborted (no commit record)
      must be rolled back by recovery *)
-  let _, citus, s = make () in
+  let _, citus, s = make ~fault_seed:0 () in
   setup_items s;
   load_items s;
   let st = Citus.Api.coordinator_state citus in
@@ -636,8 +644,10 @@ let test_2pc_recovery_rolls_back_orphans () =
   (* connections are visited newest-first at commit, so k2's node prepares
      first; failing k1's PREPARE leaves k2 prepared, and its ROLLBACK
      PREPARED cleanup is lost too *)
-  Citus.State.inject_failure st ~node:(node_of k1) ~matching:"PREPARE TRANSACTION";
-  Citus.State.inject_failure st ~node:(node_of k2) ~matching:"ROLLBACK PREPARED";
+  Sim.Fault.refuse_statements (plan st) ~from_:(here st)
+    ~to_:(node_of k1) ~matching:"PREPARE TRANSACTION";
+  Sim.Fault.refuse_statements (plan st) ~from_:(here st)
+    ~to_:(node_of k2) ~matching:"ROLLBACK PREPARED";
   ignore (exec s "BEGIN");
   ignore (exec s (Printf.sprintf "UPDATE items SET qty = 666 WHERE key = %d" k1));
   ignore (exec s (Printf.sprintf "UPDATE items SET qty = 666 WHERE key = %d" k2));
@@ -645,7 +655,7 @@ let test_2pc_recovery_rolls_back_orphans () =
    | exception _ -> ()
    | _ -> ());
   ignore (exec s "ROLLBACK");
-  Citus.State.clear_failures st;
+  Sim.Fault.clear_refusals (plan st);
   let mgr2 =
     Engine.Instance.txn_manager
       (Cluster.Topology.find_node citus.Citus.Api.cluster (node_of k2))
@@ -660,7 +670,7 @@ let test_2pc_recovery_rolls_back_orphans () =
     (one_int s (Printf.sprintf "SELECT qty FROM items WHERE key = %d" k2) <> 666)
 
 let test_2pc_prepare_failure_aborts_everywhere () =
-  let _, citus, s = make () in
+  let _, citus, s = make ~fault_seed:0 () in
   setup_items s;
   load_items s;
   let st = Citus.Api.coordinator_state citus in
@@ -676,13 +686,13 @@ let test_2pc_prepare_failure_aborts_everywhere () =
   ignore (exec s (Printf.sprintf "UPDATE items SET qty = 111 WHERE key = %d" k2));
   (* sever one participant before commit: PREPARE on it fails, the whole
      distributed transaction must abort *)
-  Citus.State.partition_node st (node_of k2);
+  Sim.Fault.partition_link (plan st) ~from_:(here st) ~to_:(node_of k2);
   (match exec s "COMMIT" with
    | exception _ -> ()
    | _r ->
      (* commit errored internally; session state must be clean *)
      ());
-  Citus.State.heal_node st (node_of k2);
+  Sim.Fault.heal_link (plan st) ~from_:(here st) ~to_:(node_of k2);
   ignore (exec s "ROLLBACK");
   Alcotest.(check bool) "k1 not committed" true
     (one_int s (Printf.sprintf "SELECT qty FROM items WHERE key = %d" k1) <> 111);
@@ -884,24 +894,22 @@ let test_insert_select_into_reference () =
               (Citus.Metadata.shard_name shard))))
     (Cluster.Topology.all_nodes cluster)
 
-let test_exec_params_distributed () =
+let test_params_distributed () =
   let _, _, s = make () in
   setup_items s;
   load_items ~n:5 s;
-  let r =
-    Engine.Instance.exec_params s "SELECT val FROM items WHERE key = $1"
-      [ Datum.Int 3 ]
-  in
-  (match r.Engine.Instance.rows with
+  Citus.Session.prepare s ~name:"getv" "SELECT val FROM items WHERE key = $1";
+  (match
+     (Citus.Session.execute s "getv" [ Datum.Int 3 ]).Engine.Instance.rows
+   with
    | [ [| Datum.Text "v3" |] ] -> ()
    | _ -> Alcotest.fail "param routing failed");
-  match
-    Engine.Instance.exec_params s "SELECT val FROM items WHERE key = $2"
-      [ Datum.Int 3 ]
-  with
+  Citus.Session.prepare s ~name:"skip" "SELECT val FROM items WHERE key = $2";
+  match Citus.Session.execute s "skip" [ Datum.Int 3 ] with
   | exception Engine.Instance.Session_error m ->
     (* typed error naming the parameter, not a bare Invalid_argument *)
-    Alcotest.(check string) "bind error" "no value for parameter $2" m
+    Alcotest.(check string) "bind error"
+      "no value for parameter $2 in prepared statement skip" m
   | _ -> Alcotest.fail "missing param should fail"
 
 (* --- DDL propagation --- *)
@@ -1110,7 +1118,7 @@ let () =
           Alcotest.test_case "hybrid local x reference" `Quick
             test_hybrid_local_reference_join;
           Alcotest.test_case "params distributed" `Quick
-            test_exec_params_distributed;
+            test_params_distributed;
         ] );
       ( "pushdown",
         [

@@ -1,13 +1,20 @@
 (* Tenant isolation, consistent restore points, EXPLAIN, adaptive-executor
    timeline, and the sim cost model. *)
 
-let make ?(workers = 2) ?(shard_count = 8) () =
-  let cluster = Cluster.Topology.create ~workers () in
+let make ?(workers = 2) ?(shard_count = 8) ?fault_seed () =
+  let cluster = Cluster.Topology.create ?fault_seed ~workers () in
   let citus = Citus.Api.install ~shard_count cluster in
   let s = Citus.Api.connect citus in
   (cluster, citus, s)
 
 let exec s sql = Engine.Instance.exec s sql
+
+(* The cluster's fault plan and the node [st] runs on: partitions and
+   statement refusals are cut on the plan's [here st -> node] link. *)
+let plan (st : Citus.State.t) =
+  Option.get (Cluster.Topology.fault st.Citus.State.cluster)
+
+let here (st : Citus.State.t) = st.Citus.State.local.Cluster.Topology.node_name
 
 let one_int s sql =
   match (exec s sql).Engine.Instance.rows with
@@ -115,22 +122,22 @@ let test_restore_point_on_all_nodes () =
     (Citus.Backup.restore_point_positions st "backup1")
 
 let test_restore_point_fails_when_partitioned () =
-  let _, citus, s = make () in
+  let _, citus, s = make ~fault_seed:0 () in
   ignore (exec s "CREATE TABLE t (k bigint)");
   ignore (exec s "SELECT create_distributed_table('t', 'k')");
   let st = Citus.Api.coordinator_state citus in
-  Citus.State.partition_node st "worker2";
+  Sim.Fault.partition_link (plan st) ~from_:(here st) ~to_:"worker2";
   (match exec s "SELECT citus_create_restore_point('backup2')" with
    | exception _ -> ()
    | _ -> Alcotest.fail "restore point must fail with an unreachable node");
-  Citus.State.heal_node st "worker2";
+  Sim.Fault.heal_link (plan st) ~from_:(here st) ~to_:"worker2";
   Alcotest.(check bool) "not consistent" false
     (Citus.Backup.restore_point_is_consistent st "backup2")
 
 (* --- node failures during queries --- *)
 
 let test_worker_failure_mid_query () =
-  let _, citus, s = make () in
+  let _, citus, s = make ~fault_seed:0 () in
   ignore (exec s "CREATE TABLE t (k bigint, v bigint)");
   ignore (exec s "SELECT create_distributed_table('t', 'k')");
   ignore (exec s "BEGIN");
@@ -139,13 +146,13 @@ let test_worker_failure_mid_query () =
   done;
   ignore (exec s "COMMIT");
   let st = Citus.Api.coordinator_state citus in
-  Citus.State.partition_node st "worker2";
+  Sim.Fault.partition_link (plan st) ~from_:(here st) ~to_:"worker2";
   (* a multi-shard query must fail with a clean session error, not a stuck
      session *)
   (match exec s "SELECT count(*) FROM t" with
    | exception Engine.Instance.Session_error _ -> ()
    | _ -> Alcotest.fail "query should fail while a worker is down");
-  Citus.State.heal_node st "worker2";
+  Sim.Fault.heal_link (plan st) ~from_:(here st) ~to_:"worker2";
   (* the session recovers and answers correctly *)
   check_int s "after heal" 20 "SELECT count(*) FROM t";
   (* and writes still work *)

@@ -484,11 +484,8 @@ let test_udf_registration () =
 let test_params () =
   let _, s = fresh () in
   setup_accounts s;
-  let r =
-    Instance.exec_params s "SELECT balance FROM accounts WHERE id = $1"
-      [ Datum.Int 2 ]
-  in
-  match r.Instance.rows with
+  ignore (exec s "PREPARE bal AS SELECT balance FROM accounts WHERE id = $1");
+  match (exec s "EXECUTE bal(2)").Instance.rows with
   | [ [| Datum.Int 200 |] ] -> ()
   | _ -> Alcotest.fail "param binding failed"
 

@@ -3,13 +3,20 @@
    surviving a lost replica, the repair daemon restoring Inactive
    placements, and 2PC commit-drain accounting. *)
 
-let make ?(workers = 3) ?(shard_count = 4) () =
-  let cluster = Cluster.Topology.create ~workers () in
+let make ?(workers = 3) ?(shard_count = 4) ?fault_seed () =
+  let cluster = Cluster.Topology.create ?fault_seed ~workers () in
   let citus = Citus.Api.install ~shard_count cluster in
   let s = Citus.Api.connect citus in
   (cluster, citus, s)
 
 let exec s sql = Engine.Instance.exec s sql
+
+(* The cluster's fault plan and the node [st] runs on: partitions and
+   statement refusals are cut on the plan's [here st -> node] link. *)
+let plan (st : Citus.State.t) =
+  Option.get (Cluster.Topology.fault st.Citus.State.cluster)
+
+let here (st : Citus.State.t) = st.Citus.State.local.Cluster.Topology.node_name
 
 let one_int s sql =
   match (exec s sql).Engine.Instance.rows with
@@ -87,19 +94,19 @@ let test_breaker_lifecycle () =
   Alcotest.(check int) "total failures kept" 4 stats.Citus.Health.failures
 
 let test_breaker_feeds_from_exec () =
-  let _, citus, s = make () in
+  let _, citus, s = make ~fault_seed:0 () in
   setup_items s;
   load_items ~n:10 s;
   let st = Citus.Api.coordinator_state citus in
   let victim = node_of citus "items" 1 in
-  Citus.State.partition_node st victim;
+  Sim.Fault.partition_link (plan st) ~from_:(here st) ~to_:victim;
   for _ = 1 to 4 do
     match exec s "SELECT count(*) FROM items" with _ -> () | exception _ -> ()
   done;
   Alcotest.(check bool) "failures recorded for the partitioned node" true
     ((Citus.Health.stats st.Citus.State.health victim).Citus.Health.failures
      > 0);
-  Citus.State.heal_node st victim
+  Sim.Fault.heal_link (plan st) ~from_:(here st) ~to_:victim
 
 (* --- replication-factor metadata --- *)
 
@@ -143,7 +150,7 @@ let test_set_replication_factor_udf () =
 (* --- failover + self-healing, end to end --- *)
 
 let test_failover_and_self_healing () =
-  let _, citus, s = make () in
+  let _, citus, s = make ~fault_seed:0 () in
   Citus.Api.set_replication_factor citus 2;
   setup_items s;
   load_items s;
@@ -153,7 +160,7 @@ let test_failover_and_self_healing () =
   let shard = Citus.Metadata.shard_for_value meta ~table:"items" (Datum.Int key) in
   let replicas = Citus.Metadata.placements meta shard.Citus.Metadata.shard_id in
   let primary = List.nth replicas 0 and secondary = List.nth replicas 1 in
-  Citus.State.partition_node st secondary;
+  Sim.Fault.partition_link (plan st) ~from_:(here st) ~to_:secondary;
   (* reads fail over: the whole table still answers *)
   check_int s "count served during partition" 30 "SELECT count(*) FROM items";
   check_int s "row read served during partition" key
@@ -170,19 +177,19 @@ let test_failover_and_self_healing () =
          && String.equal node secondary)
        (Citus.Metadata.inactive_placements meta));
   (* heal, then let the maintenance daemon repair the stale replica *)
-  Citus.State.heal_node st secondary;
+  Sim.Fault.heal_link (plan st) ~from_:(here st) ~to_:secondary;
   Citus.Api.maintenance citus;
   Alcotest.(check int) "health report shows zero inactive placements" 0
     (List.length (Citus.Metadata.inactive_placements meta));
   (* prove the repaired replica really holds the data: lose the replica
      that served the write and read through the repaired one *)
-  Citus.State.partition_node st primary;
+  Sim.Fault.partition_link (plan st) ~from_:(here st) ~to_:primary;
   check_int s "repaired replica serves the write" 999
     (Printf.sprintf "SELECT qty FROM items WHERE key = %d" key);
-  Citus.State.heal_node st primary
+  Sim.Fault.heal_link (plan st) ~from_:(here st) ~to_:primary
 
 let test_insert_during_partition_marks_and_heals () =
-  let _, citus, s = make () in
+  let _, citus, s = make ~fault_seed:0 () in
   Citus.Api.set_replication_factor citus 2;
   setup_items s;
   let st = Citus.Api.coordinator_state citus in
@@ -191,7 +198,7 @@ let test_insert_during_partition_marks_and_heals () =
   let shard = Citus.Metadata.shard_for_value meta ~table:"items" (Datum.Int key) in
   let replicas = Citus.Metadata.placements meta shard.Citus.Metadata.shard_id in
   let secondary = List.nth replicas 1 in
-  Citus.State.partition_node st secondary;
+  Sim.Fault.partition_link (plan st) ~from_:(here st) ~to_:secondary;
   ignore
     (exec s
        (Printf.sprintf
@@ -200,7 +207,7 @@ let test_insert_during_partition_marks_and_heals () =
     (Printf.sprintf "SELECT count(*) FROM items WHERE key = %d" key);
   Alcotest.(check bool) "some placement inactive" true
     (Citus.Metadata.inactive_placements meta <> []);
-  Citus.State.heal_node st secondary;
+  Sim.Fault.heal_link (plan st) ~from_:(here st) ~to_:secondary;
   Citus.Api.maintenance citus;
   Alcotest.(check int) "repair drained the inactive list" 0
     (List.length (Citus.Metadata.inactive_placements meta));
@@ -213,25 +220,79 @@ let test_insert_during_partition_marks_and_heals () =
 let test_single_replica_failure_still_clean_error () =
   (* replication factor 1 (the default): losing the only placement must
      surface a clean session error, never mark the last placement away *)
-  let _, citus, s = make () in
+  let _, citus, s = make ~fault_seed:0 () in
   setup_items s;
   load_items ~n:10 s;
   let st = Citus.Api.coordinator_state citus in
   let victim = node_of citus "items" 1 in
-  Citus.State.partition_node st victim;
+  Sim.Fault.partition_link (plan st) ~from_:(here st) ~to_:victim;
   (match exec s "SELECT qty FROM items WHERE key = 1" with
    | exception Engine.Instance.Session_error _ -> ()
    | _ -> Alcotest.fail "expected a session error");
   Alcotest.(check int) "no placement marked inactive" 0
     (List.length (Citus.Metadata.inactive_placements citus.Citus.Api.metadata));
-  Citus.State.heal_node st victim;
+  Sim.Fault.heal_link (plan st) ~from_:(here st) ~to_:victim;
   ignore (exec s "ROLLBACK");
   check_int s "works again after heal" 10 "SELECT count(*) FROM items"
+
+let test_copy_with_replica_cut () =
+  let _, citus, s = make ~fault_seed:0 () in
+  Citus.Api.set_replication_factor citus 2;
+  setup_items s;
+  ignore (exec s "CREATE TABLE notes (key bigint, note text)");
+  ignore (exec s "SELECT create_distributed_table('notes', 'key', 'items')");
+  let st = Citus.Api.coordinator_state citus in
+  let meta = citus.Citus.Api.metadata in
+  let key = 7 in
+  let shard_of table =
+    Citus.Metadata.shard_for_value meta ~table (Datum.Int key)
+  in
+  let shard = shard_of "items" and sibling = shard_of "notes" in
+  let replicas = Citus.Metadata.placements meta shard.Citus.Metadata.shard_id in
+  let primary = List.nth replicas 0 and secondary = List.nth replicas 1 in
+  let copy lines =
+    Engine.Instance.copy_in s ~table:"items" ~columns:None lines
+  in
+  let inactive () =
+    List.filter_map
+      (fun ((sh : Citus.Metadata.shard), node) ->
+        if String.equal node secondary then Some sh.Citus.Metadata.shard_id
+        else None)
+      (Citus.Metadata.inactive_placements meta)
+  in
+  Sim.Fault.partition_link (plan st) ~from_:(here st) ~to_:secondary;
+  let lines =
+    List.init 20 (fun i -> Printf.sprintf "%d\tc%d\t%d" (i + 1) i (i mod 3))
+  in
+  Alcotest.(check int) "COPY succeeds on the surviving replicas" 20
+    (copy lines);
+  Alcotest.(check bool) "the cut placement is inactive" true
+    (List.mem shard.Citus.Metadata.shard_id (inactive ()));
+  Alcotest.(check bool) "its colocated sibling is inactive too" true
+    (List.mem sibling.Citus.Metadata.shard_id (inactive ()));
+  Sim.Fault.heal_link (plan st) ~from_:(here st) ~to_:secondary;
+  Citus.Api.maintenance citus;
+  Alcotest.(check int) "repair drained the inactive list" 0
+    (List.length (Citus.Metadata.inactive_placements meta));
+  (* the repaired replica holds the copied row *)
+  Sim.Fault.partition_link (plan st) ~from_:(here st) ~to_:primary;
+  check_int s "repaired replica serves the copied row" 1
+    (Printf.sprintf "SELECT count(*) FROM items WHERE key = %d" key);
+  (* with every replica cut, the COPY fails with a typed error *)
+  Sim.Fault.partition_link (plan st) ~from_:(here st) ~to_:secondary;
+  (match copy [ Printf.sprintf "%d\tlost\t0" key ] with
+   | exception Cluster.Connection.Node_unavailable _ -> ()
+   | _ -> Alcotest.fail "COPY with every replica cut must fail");
+  Sim.Fault.heal_link (plan st) ~from_:(here st) ~to_:primary;
+  Sim.Fault.heal_link (plan st) ~from_:(here st) ~to_:secondary;
+  (try ignore (exec s "ROLLBACK") with Engine.Instance.Session_error _ -> ());
+  check_int s "the failed COPY left nothing behind" 20
+    "SELECT count(*) FROM items"
 
 (* --- 2PC drain accounting --- *)
 
 let test_2pc_drain_counts_failed_commits () =
-  let _, citus, s = make () in
+  let _, citus, s = make ~fault_seed:0 () in
   setup_items s;
   ignore (exec s "BEGIN");
   load_items ~n:20 s;
@@ -239,7 +300,8 @@ let test_2pc_drain_counts_failed_commits () =
   let st = Citus.Api.coordinator_state citus in
   let k1, k2 = two_keys_on_different_nodes citus "items" in
   let lost = node_of citus "items" k2 in
-  Citus.State.inject_failure st ~node:lost ~matching:"COMMIT PREPARED";
+  Sim.Fault.refuse_statements (plan st) ~from_:(here st)
+    ~to_:lost ~matching:"COMMIT PREPARED";
   ignore (exec s "BEGIN");
   ignore (exec s (Printf.sprintf "UPDATE items SET qty = 555 WHERE key = %d" k1));
   ignore (exec s (Printf.sprintf "UPDATE items SET qty = 555 WHERE key = %d" k2));
@@ -251,7 +313,7 @@ let test_2pc_drain_counts_failed_commits () =
   Alcotest.(check bool) "commit record retained" true
     (Citus.Twopc.commit_record_count st > 0);
   (* partition heals; the recovery daemon drains the orphan *)
-  Citus.State.clear_failures st;
+  Sim.Fault.clear_refusals (plan st);
   Citus.Api.maintenance citus;
   check_int s "k2 committed after recovery" 555
     (Printf.sprintf "SELECT qty FROM items WHERE key = %d" k2);
@@ -263,7 +325,7 @@ let test_coordinator_crash_before_commit_fanout () =
      records durable in pg_dist_transaction) but dies before any COMMIT
      PREPARED reaches the workers. After restart, recovery must push the
      decision out from the surviving records. *)
-  let cluster, citus, s = make () in
+  let cluster, citus, s = make ~fault_seed:0 () in
   setup_items s;
   ignore (exec s "BEGIN");
   load_items ~n:20 s;
@@ -271,8 +333,10 @@ let test_coordinator_crash_before_commit_fanout () =
   let st = Citus.Api.coordinator_state citus in
   let k1, k2 = two_keys_on_different_nodes citus "items" in
   let n1 = node_of citus "items" k1 and n2 = node_of citus "items" k2 in
-  Citus.State.inject_failure st ~node:n1 ~matching:"COMMIT PREPARED";
-  Citus.State.inject_failure st ~node:n2 ~matching:"COMMIT PREPARED";
+  Sim.Fault.refuse_statements (plan st) ~from_:(here st)
+    ~to_:n1 ~matching:"COMMIT PREPARED";
+  Sim.Fault.refuse_statements (plan st) ~from_:(here st)
+    ~to_:n2 ~matching:"COMMIT PREPARED";
   ignore (exec s "BEGIN");
   ignore (exec s (Printf.sprintf "UPDATE items SET qty = 777 WHERE key = %d" k1));
   ignore (exec s (Printf.sprintf "UPDATE items SET qty = 777 WHERE key = %d" k2));
@@ -292,7 +356,7 @@ let test_coordinator_crash_before_commit_fanout () =
          <> []))
     [ n1; n2 ];
   (* coordinator crashes and comes back: WAL replay restores the records *)
-  Citus.State.clear_failures st;
+  Sim.Fault.clear_refusals (plan st);
   Engine.Instance.restart
     (Cluster.Topology.find_node cluster "coordinator").Cluster.Topology.instance;
   Citus.State.reset_sessions st;
@@ -321,14 +385,9 @@ let test_coordinator_crash_before_commit_fanout () =
 
 (* --- gray failure: statement timeouts, slow-trips, hedged reads --- *)
 
-(* [make] builds clusters without a fault plan (zero injected latency);
-   gray-failure tests need [~fault_seed] so stalls and latency draws are
-   live. *)
-let make_gray ?(workers = 3) ?(shard_count = 4) ?(fault_seed = 42) () =
-  let cluster = Cluster.Topology.create ~fault_seed ~workers () in
-  let citus = Citus.Api.install ~shard_count cluster in
-  let s = Citus.Api.connect citus in
-  (cluster, citus, s)
+(* gray-failure tests need a fault plan so stalls and latency draws are
+   live *)
+let make_gray () = make ~fault_seed:42 ()
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -592,6 +651,8 @@ let () =
             test_insert_during_partition_marks_and_heals;
           Alcotest.test_case "single replica still clean error" `Quick
             test_single_replica_failure_still_clean_error;
+          Alcotest.test_case "copy with a replica cut" `Quick
+            test_copy_with_replica_cut;
         ] );
       ( "restart",
         [

@@ -271,7 +271,7 @@ let check_invariants ~seed cluster citus =
 
 (* --- one full storm --- *)
 
-let run_storm ~seed () =
+let run_storm ?(setup = ignore) ~seed () =
   let cluster, citus = make_cluster ~seed ~replication:2 in
   Obs.Trace.set_enabled (Cluster.Topology.trace cluster) true;
   let fault = fault_of cluster in
@@ -279,6 +279,7 @@ let run_storm ~seed () =
   let sched_rng = Random.State.make [| seed; 0x3fa9 |] in
   let wl_rng = Random.State.make [| seed; 0x0b5e |] in
   schedule_faults cluster fault sched_rng;
+  setup fault;
   let coords = coordinating_nodes cluster in
   let srefs =
     List.map (fun n -> (n, ref (Citus.Api.connect_via citus n))) coords
@@ -360,14 +361,17 @@ let observable (cluster, _citus, outcomes, total, torn) =
     total,
     torn,
     Obs.Metrics.render (Obs.Metrics.snapshot obs.Obs.metrics),
-    Obs.Trace.render_tree (Obs.Trace.spans obs.Obs.trace) )
+    Obs.Trace.render_tree (Obs.Trace.spans obs.Obs.trace),
+    Sim.Clock.now cluster.Cluster.Topology.clock )
 
-let test_reproducible () =
-  let trace_a, outcomes_a, total_a, torn_a, metrics_a, spans_a =
-    observable (run_storm ~seed:25 ())
+(* Two storms are bit-identical in everything observable; returns the
+   first one's fault trace. *)
+let check_same_storm a b =
+  let trace_a, outcomes_a, total_a, torn_a, metrics_a, spans_a, clock_a =
+    observable a
   in
-  let trace_b, outcomes_b, total_b, torn_b, metrics_b, spans_b =
-    observable (run_storm ~seed:25 ())
+  let trace_b, outcomes_b, total_b, torn_b, metrics_b, spans_b, clock_b =
+    observable b
   in
   Alcotest.(check (list string)) "same fault trace" trace_a trace_b;
   Alcotest.(check (list string)) "same (node, outcome) stream" outcomes_a
@@ -376,7 +380,14 @@ let test_reproducible () =
   Alcotest.(check int) "same torn-read count" torn_a torn_b;
   Alcotest.(check string) "bit-identical metric snapshot" metrics_a metrics_b;
   Alcotest.(check (list string)) "bit-identical span tree" spans_a spans_b;
-  let trace_c, _, _, _, _, _ = observable (run_storm ~seed:26 ()) in
+  Alcotest.(check (float 0.0)) "same virtual clock" clock_a clock_b;
+  trace_a
+
+let test_reproducible () =
+  let trace_a =
+    check_same_storm (run_storm ~seed:25 ()) (run_storm ~seed:25 ())
+  in
+  let trace_c, _, _, _, _, _, _ = observable (run_storm ~seed:26 ()) in
   Alcotest.(check bool) "different seed, different schedule" true
     (trace_a <> trace_c)
 
@@ -426,12 +437,12 @@ let test_origin_crash_mid_fanout () =
           "UPDATE accounts SET balance = balance + 7 WHERE key = %d" k2));
   (* cut the fan-out: both participants' COMMIT PREPARED will fail after
      the origin's local commit (commit records durable on the origin) *)
-  Citus.State.inject_failure origin_st ~node:(node_of citus k1)
+  Sim.Fault.refuse_statements fault ~from_:origin_name ~to_:(node_of citus k1)
     ~matching:"COMMIT PREPARED";
-  Citus.State.inject_failure origin_st ~node:(node_of citus k2)
+  Sim.Fault.refuse_statements fault ~from_:origin_name ~to_:(node_of citus k2)
     ~matching:"COMMIT PREPARED";
   ignore (exec s "COMMIT");
-  Citus.State.clear_failures origin_st;
+  Sim.Fault.clear_refusals fault;
   Alcotest.(check bool) "commit records durable on the origin worker" true
     (Citus.Twopc.commit_record_count origin_st > 0);
   (* both participants still hold prepared txns in the origin's namespace *)
@@ -531,6 +542,91 @@ let test_worker_coordinates_without_coordinator () =
        Obs.Metric_names.mx_worker_coordinated_txns
     > 0)
 
+(* --- targeted: statement refusal is per origin --- *)
+
+(* A [Sim.Fault] refusal cuts one origin's matching statements to one
+   worker. Another MX coordinator's COMMIT PREPARED to that worker still
+   lands; the refused origin's never runs, so its participant keeps the
+   prepared transaction for recovery; [quiesce] clears the rule. *)
+let test_refusal_is_per_origin () =
+  let cluster, citus = make_cluster ~seed:79 ~replication:1 in
+  let fault = fault_of cluster in
+  let node name = Cluster.Topology.find_node cluster name in
+  let refused = "worker1" and other = "worker2" and target = "worker3" in
+  let rec key_on pred k =
+    if pred (node_of citus k) then k else key_on pred (k + 1)
+  in
+  let k1 = key_on (String.equal target) 0 in
+  let k2 = key_on (fun n -> not (String.equal n target)) 0 in
+  let prepared_on name =
+    Txn.Manager.prepared_transactions
+      (Engine.Instance.txn_manager (node name).Cluster.Topology.instance)
+  in
+  let transfer_via name =
+    let s = Citus.Api.connect_via citus (node name) in
+    ignore (exec s "BEGIN");
+    ignore
+      (exec s
+         (Printf.sprintf
+            "UPDATE accounts SET balance = balance - 1 WHERE key = %d" k1));
+    ignore
+      (exec s
+         (Printf.sprintf
+            "UPDATE accounts SET balance = balance + 1 WHERE key = %d" k2));
+    ignore (exec s "COMMIT")
+  in
+  Sim.Fault.refuse_statements fault ~from_:refused ~to_:target
+    ~matching:"COMMIT PREPARED";
+  transfer_via other;
+  Alcotest.(check int) "another origin's COMMIT PREPARED lands" 0
+    (List.length (prepared_on target));
+  transfer_via refused;
+  (match prepared_on target with
+   | [ (gid, _) ] ->
+     Alcotest.(check (option string)) "in the refused origin's namespace"
+       (Some refused)
+       (Option.map fst (Citus.State.parse_gid gid))
+   | l ->
+     Alcotest.fail
+       (Printf.sprintf "expected one prepared transaction on %s, got %d"
+          target (List.length l)));
+  Alcotest.(check bool) "the rule is in force" true
+    (Sim.Fault.refusal fault ~from_:refused ~to_:target
+       ~sql:"COMMIT PREPARED 'g'"
+    <> None);
+  Sim.Fault.quiesce fault;
+  Alcotest.(check (option string)) "quiesce clears the rule" None
+    (Sim.Fault.refusal fault ~from_:refused ~to_:target
+       ~sql:"COMMIT PREPARED 'g'");
+  Citus.Api.maintenance citus;
+  Alcotest.(check int) "recovery finished the refused commit" 0
+    (List.length (prepared_on target));
+  transfer_via refused;
+  Alcotest.(check int) "after quiesce the origin commits directly" 0
+    (List.length (prepared_on target));
+  (* read through the last transfer's origin: a fresh session on another
+     coordinator may read at an HLC snapshot older than that commit *)
+  let s = Citus.Api.connect_via citus (node refused) in
+  let balance k =
+    one_int s (Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" k)
+  in
+  Alcotest.(check int) "all three debits applied" (initial_balance - 3)
+    (balance k1);
+  Alcotest.(check int) "all three credits applied" (initial_balance + 3)
+    (balance k2)
+
+(* A refusal that never matches is invisible: it draws nothing and
+   traces nothing, so the storm replays bit-for-bit. *)
+let test_idle_refusal_replays () =
+  let idle =
+    run_storm ~seed:25
+      ~setup:(fun fault ->
+        Sim.Fault.refuse_statements fault ~from_:"worker1" ~to_:"worker2"
+          ~matching:"no statement contains this")
+      ()
+  in
+  ignore (check_same_storm (run_storm ~seed:25 ()) idle : string list)
+
 let test_metadata_sync_knob () =
   (* the set_config spelling of metadata sync: idempotent 'on' (also
      after the UDF already ran), and 'off' is a clean typed error —
@@ -577,5 +673,12 @@ let () =
             `Quick test_worker_coordinates_without_coordinator;
           Alcotest.test_case "metadata sync via set_config" `Quick
             test_metadata_sync_knob;
+        ] );
+      ( "refusal",
+        [
+          Alcotest.test_case "per origin, never runs, quiesce clears" `Quick
+            test_refusal_is_per_origin;
+          Alcotest.test_case "idle refusal replays bit-for-bit" `Quick
+            test_idle_refusal_replays;
         ] );
     ]

@@ -18,6 +18,13 @@
 
 let exec s sql = Engine.Instance.exec s sql
 
+(* The cluster's fault plan and the node [st] runs on: partitions and
+   statement refusals are cut on the plan's [here st -> node] link. *)
+let plan (st : Citus.State.t) =
+  Option.get (Cluster.Topology.fault st.Citus.State.cluster)
+
+let here (st : Citus.State.t) = st.Citus.State.local.Cluster.Topology.node_name
+
 let one_int s sql =
   match (exec s sql).Engine.Instance.rows with
   | [ [| Datum.Int i |] ] -> i
@@ -74,7 +81,8 @@ let fumbled_transfer citus s ~amount =
   let st = Citus.Api.coordinator_state citus in
   let k1, k2 = two_keys_on_different_nodes citus "accounts" in
   let lost_node = node_of citus ~table:"accounts" k2 in
-  Citus.State.inject_failure st ~node:lost_node ~matching:"COMMIT PREPARED";
+  Sim.Fault.refuse_statements (plan st) ~from_:(here st)
+    ~to_:lost_node ~matching:"COMMIT PREPARED";
   ignore (exec s "BEGIN");
   ignore
     (exec s
@@ -85,7 +93,7 @@ let fumbled_transfer citus s ~amount =
        (Printf.sprintf
           "UPDATE accounts SET balance = balance + %d WHERE key = %d" amount k2));
   ignore (exec s "COMMIT");
-  Citus.State.clear_failures st;
+  Sim.Fault.clear_refusals (plan st);
   (k1, k2, lost_node)
 
 let prepared_count cluster node =
@@ -130,7 +138,7 @@ let test_consistency_knob () =
 (* --- torn at eventual, healed at stronger levels --- *)
 
 let test_eventual_read_is_torn () =
-  let cluster = Cluster.Topology.create ~workers:3 () in
+  let cluster = Cluster.Topology.create ~workers:3 ~fault_seed:0 () in
   let citus = Citus.Api.install ~shard_count:8 cluster in
   let s = Citus.Api.connect citus in
   setup_accounts s;
@@ -147,7 +155,7 @@ let test_eventual_read_is_torn () =
     (counter cluster Obs.Metric_names.snapshot_indoubt_waits)
 
 let heal_test consistency () =
-  let cluster = Cluster.Topology.create ~workers:3 () in
+  let cluster = Cluster.Topology.create ~workers:3 ~fault_seed:0 () in
   let citus = Citus.Api.install ~shard_count:8 cluster in
   let s = Citus.Api.connect citus in
   setup_accounts s;
@@ -183,7 +191,7 @@ let test_snapshot_resolves_aborted_orphan () =
   (* the other 2PC outcome: the coordinator aborted (no commit record),
      a worker keeps an orphaned prepared transaction — a snapshot reader
      rolls it back instead of waiting for the recovery daemon *)
-  let cluster = Cluster.Topology.create ~workers:3 () in
+  let cluster = Cluster.Topology.create ~workers:3 ~fault_seed:0 () in
   let citus = Citus.Api.install ~shard_count:8 cluster in
   let s = Citus.Api.connect citus in
   setup_accounts s;
@@ -192,11 +200,11 @@ let test_snapshot_resolves_aborted_orphan () =
   (* connections are visited newest-first at commit, so k2's node
      prepares first; failing k1's PREPARE aborts the 2PC and the
      injected ROLLBACK PREPARED failure orphans k2's prepared txn *)
-  Citus.State.inject_failure st
-    ~node:(node_of citus ~table:"accounts" k1)
+  Sim.Fault.refuse_statements (plan st)
+    ~from_:(here st) ~to_:(node_of citus ~table:"accounts" k1)
     ~matching:"PREPARE TRANSACTION";
-  Citus.State.inject_failure st
-    ~node:(node_of citus ~table:"accounts" k2)
+  Sim.Fault.refuse_statements (plan st)
+    ~from_:(here st) ~to_:(node_of citus ~table:"accounts" k2)
     ~matching:"ROLLBACK PREPARED";
   ignore (exec s "BEGIN");
   ignore
@@ -209,7 +217,7 @@ let test_snapshot_resolves_aborted_orphan () =
           k2));
   (match exec s "COMMIT" with _ -> () | exception _ -> ());
   ignore (try ignore (exec s "ROLLBACK") with _ -> ());
-  Citus.State.clear_failures st;
+  Sim.Fault.clear_refusals (plan st);
   Alcotest.(check int) "orphan pending" 1
     (prepared_count cluster (node_of citus ~table:"accounts" k2));
   st.Citus.State.config.Citus.State.consistency <- Citus.State.Snapshot;
@@ -441,7 +449,8 @@ let chaos_transfer citus st rng sref ~k1 ~k2 ~amount =
   let fumble =
     if Random.State.int rng 4 = 0 then begin
       let w = Printf.sprintf "worker%d" (1 + Random.State.int rng 3) in
-      Citus.State.inject_failure st ~node:w ~matching:"COMMIT PREPARED";
+      Sim.Fault.refuse_statements (plan st) ~from_:(here st)
+        ~to_:w ~matching:"COMMIT PREPARED";
       true
     end
     else false
@@ -469,7 +478,7 @@ let chaos_transfer citus st rng sref ~k1 ~k2 ~amount =
       Failed
     end
   in
-  if fumble then Citus.State.clear_failures st;
+  if fumble then Sim.Fault.clear_refusals (plan st);
   outcome
 
 (* One scatter-gather sum at the given consistency level. *)
@@ -489,7 +498,6 @@ let read_total citus st sref level =
   r
 
 let quiesce cluster citus =
-  Citus.State.clear_failures (Citus.Api.coordinator_state citus);
   Sim.Fault.quiesce (fault_of cluster);
   Sim.Clock.advance cluster.Cluster.Topology.clock 30.0;
   for _ = 1 to 3 do
