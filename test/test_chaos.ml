@@ -13,122 +13,30 @@
 
    - atomicity: transfers are balance-preserving, so the total must be
      exactly the initial total no matter which subset committed;
-   - no orphaned prepared transactions on any node;
-   - no leaked commit records on the coordinator;
+   - no orphaned prepared transactions on any node, no leaked commit
+     records, no pinned transaction connections;
    - every circuit breaker back to Closed;
    - full replication restored (no Inactive placements, replicas of each
-     shard bit-identical). *)
+     shard bit-identical);
+   - tracing survived: every span closed, no gauge negative.
+
+   The checks, like the cluster, workload and replay comparison, are
+   [Chaos_kit]'s, shared with the gray, MX and snapshot matrices. *)
+
+module Kit = Chaos_kit
 
 let n_keys = 24
-let initial_balance = 100
-let expected_total = n_keys * initial_balance
 let n_txns = 40
 let clock_step = 0.25
-
-type outcome = Committed | Failed | Unknown
-
-let outcome_name = function
-  | Committed -> "committed"
-  | Failed -> "failed"
-  | Unknown -> "unknown"
-
-let exec s sql = Engine.Instance.exec s sql
-
-let one_int s sql =
-  match (exec s sql).Engine.Instance.rows with
-  | [ [| Datum.Int i |] ] -> i
-  | rows ->
-    Alcotest.fail
-      (Printf.sprintf "expected one int from %S, got %d rows" sql
-         (List.length rows))
-
-let fault_of cluster =
-  match Cluster.Topology.fault cluster with
-  | Some f -> f
-  | None -> Alcotest.fail "cluster has no fault plan"
+let exec = Kit.exec
 
 let make_cluster ~seed ~replication =
-  (* the seed also drives the cooperative scheduler's ready-queue
-     tiebreaks: fiber interleavings inside the executor / 2PC / move
-     fan-outs are a fuzzed dimension of the storm, and same-seed runs
-     replay the same interleaving bit-for-bit *)
-  let cluster =
-    Cluster.Topology.create ~workers:3 ~fault_seed:seed ~sched_seed:seed ()
-  in
-  let citus = Citus.Api.install ~shard_count:8 cluster in
-  Citus.Api.set_replication_factor citus replication;
-  let s = Citus.Api.connect citus in
-  ignore
-    (exec s "CREATE TABLE accounts (key bigint PRIMARY KEY, balance bigint)");
-  ignore (exec s "SELECT create_distributed_table('accounts', 'key')");
-  for k = 0 to n_keys - 1 do
-    ignore
-      (exec s
-         (Printf.sprintf
-            "INSERT INTO accounts (key, balance) VALUES (%d, %d)" k
-            initial_balance))
-  done;
-  (cluster, citus)
-
-let node_of citus k =
-  let meta = citus.Citus.Api.metadata in
-  Citus.Metadata.placement meta
-    (Citus.Metadata.shard_for_value meta ~table:"accounts" (Datum.Int k))
-      .Citus.Metadata.shard_id
-
-(* Two keys whose primary placements live on different workers, so a
-   transfer between them is a genuine multi-node 2PC. *)
-let cross_node_keys citus =
-  let k1 = 0 in
-  let rec find k =
-    if String.equal (node_of citus k) (node_of citus k1) then find (k + 1)
-    else k
-  in
-  (k1, find 1)
-
-(* --- the workload --- *)
-
-let ensure_session citus sref =
-  if not (Engine.Instance.session_alive !sref) then
-    sref := Citus.Api.connect citus
-
-(* One transfer. The outcome taxonomy matters: an error before COMMIT is
-   a clean abort (Failed); an error during COMMIT leaves the true outcome
-   undetermined at the client (Unknown) — 2PC recovery decides it later. *)
-let transfer citus sref ~k1 ~k2 ~amount =
-  ensure_session citus sref;
-  let s = !sref in
-  match
-    ignore (exec s "BEGIN");
-    ignore
-      (exec s
-         (Printf.sprintf
-            "UPDATE accounts SET balance = balance - %d WHERE key = %d" amount
-            k1));
-    ignore
-      (exec s
-         (Printf.sprintf
-            "UPDATE accounts SET balance = balance + %d WHERE key = %d" amount
-            k2))
-  with
-  | () -> (
-    match exec s "COMMIT" with
-    | _ -> Committed
-    | exception _ ->
-      (try ignore (exec s "ROLLBACK") with _ -> ());
-      Unknown)
-  | exception _ ->
-    (try ignore (exec s "ROLLBACK") with _ -> ());
-    Failed
+  Kit.accounts_cluster ~seed ~n_keys ~replication ()
 
 (* --- the fault schedule --- *)
 
 let schedule_faults cluster fault rng =
-  let workers =
-    List.map
-      (fun (n : Cluster.Topology.node) -> n.Cluster.Topology.node_name)
-      cluster.Cluster.Topology.workers
-  in
+  let workers = Kit.worker_names cluster in
   let horizon = float_of_int n_txns *. clock_step in
   let pick l = List.nth l (Random.State.int rng (List.length l)) in
   let nodes = "coordinator" :: workers in
@@ -158,173 +66,18 @@ let schedule_faults cluster fault rng =
       ~matching:"PREPARE TRANSACTION"
       ~lose_reply:(Random.State.bool rng) ()
 
-(* --- quiescence --- *)
-
-let quiesce cluster citus =
-  let fault = fault_of cluster in
-  Sim.Fault.quiesce fault;
-  (* bounce every node: lost round trips can leave orphaned in-memory
-     transactions holding locks on workers; a crash/restart sheds them
-     while everything durable (prepared transactions, commit records,
-     committed rows) survives the WAL replay *)
-  List.iter
-    (fun (n : Cluster.Topology.node) ->
-      Sim.Fault.crash_now fault n.Cluster.Topology.node_name;
-      Sim.Fault.restart_now fault n.Cluster.Topology.node_name)
-    (Cluster.Topology.all_nodes cluster);
-  Sim.Clock.advance cluster.Cluster.Topology.clock 30.0;
-  (* recovery + repair are idempotent; three passes drain multi-step
-     resolutions (commit prepared, then GC, then re-replication) *)
-  for _ = 1 to 3 do
-    Citus.Api.maintenance citus
-  done
-
-(* A post-storm write pass: touches every key (so every replica takes a
-   write), closing half-open breakers through real successes. The +0
-   update is balance-neutral by construction. *)
-let write_pass citus =
-  let s = Citus.Api.connect citus in
-  for k = 0 to n_keys - 1 do
-    ignore
-      (Citus.Api.exec_with_retries citus s
-         (Printf.sprintf
-            "UPDATE accounts SET balance = balance + 0 WHERE key = %d" k))
-  done
-
-(* --- trace/metric conservation ---
-
-   The observability layer must survive the storm too: every span opened
-   was closed (exceptions included), nothing is left on the open-span
-   stack, no gauge went negative, and the breaker-trip gauge settled
-   back to zero along with the breakers themselves. *)
-
-let check_obs_conservation ~seed cluster =
-  let msg m = Printf.sprintf "[seed %d] %s" seed m in
-  let obs = Cluster.Topology.obs cluster in
-  Alcotest.(check int)
-    (msg "every span opened was closed")
-    (Obs.Trace.started obs.Obs.trace)
-    (Obs.Trace.finished obs.Obs.trace);
-  Alcotest.(check int) (msg "no span left open") 0
-    (Obs.Trace.open_count obs.Obs.trace);
-  let snap = Obs.Metrics.snapshot obs.Obs.metrics in
-  List.iter
-    (fun (name, v) ->
-      Alcotest.(check bool)
-        (msg (Printf.sprintf "gauge %s non-negative (%f)" name v))
-        true (v >= 0.0))
-    snap.Obs.Metrics.s_gauges;
-  Alcotest.(check (float 0.0))
-    (msg "breaker-trip gauge settled")
-    0.0
-    (Obs.Metrics.gauge_value obs.Obs.metrics "breaker.tripped");
-  let counter name =
-    Obs.Metrics.counter_value obs.Obs.metrics name
-  in
-  Alcotest.(check bool)
-    (msg "rebalance moves: completed <= started")
-    true
-    (counter "rebalance.moves_completed" <= counter "rebalance.moves_started")
-
-(* --- invariants --- *)
-
-let check_invariants ~seed cluster citus =
-  let msg m = Printf.sprintf "[seed %d] %s" seed m in
-  let st = Citus.Api.coordinator_state citus in
-  let meta = citus.Citus.Api.metadata in
-  let s = Citus.Api.connect citus in
-  (* cross-node atomicity: every transfer conserved the total *)
-  Alcotest.(check int)
-    (msg "total balance conserved")
-    expected_total
-    (one_int s "SELECT sum(balance) FROM accounts");
-  (* no orphaned prepared transactions anywhere *)
-  List.iter
-    (fun (n : Cluster.Topology.node) ->
-      let mgr = Engine.Instance.txn_manager n.Cluster.Topology.instance in
-      Alcotest.(check int)
-        (msg
-           (Printf.sprintf "no orphaned prepared transactions on %s"
-              n.Cluster.Topology.node_name))
-        0
-        (List.length (Txn.Manager.prepared_transactions mgr)))
-    (Cluster.Topology.all_nodes cluster);
-  (* no leaked commit records *)
-  Alcotest.(check int)
-    (msg "commit records drained")
-    0
-    (Citus.Twopc.commit_record_count st);
-  (* every breaker back to Closed *)
-  List.iter
-    (fun (r : Citus.Health.node_report) ->
-      Alcotest.(check string)
-        (msg (Printf.sprintf "breaker closed on %s" r.Citus.Health.nr_node))
-        "closed"
-        (Citus.Health.breaker_name
-           (Citus.Health.breaker_state st.Citus.State.health
-              r.Citus.Health.nr_node)))
-    (Citus.Health.report st.Citus.State.health);
-  (* full replication restored *)
-  Alcotest.(check int)
-    (msg "no inactive placements")
-    0
-    (List.length (Citus.Metadata.inactive_placements meta));
-  List.iter
-    (fun (sh : Citus.Metadata.shard) ->
-      let shard_table = Citus.Metadata.shard_name sh in
-      let replicas =
-        Citus.Metadata.placements meta sh.Citus.Metadata.shard_id
-      in
-      let rows_on node =
-        let inst =
-          (Cluster.Topology.find_node cluster node).Cluster.Topology.instance
-        in
-        let rs = Engine.Instance.connect inst in
-        (exec rs
-           (Printf.sprintf "SELECT key, balance FROM %s ORDER BY key"
-              shard_table))
-          .Engine.Instance.rows
-      in
-      let show rows =
-        String.concat "; "
-          (List.map
-             (fun row ->
-               String.concat ","
-                 (Array.to_list
-                    (Array.map (Format.asprintf "%a" Datum.pp) row)))
-             rows)
-      in
-      match replicas with
-      | [] -> Alcotest.fail (msg (shard_table ^ " lost every placement"))
-      | first :: rest ->
-        let reference = rows_on first in
-        List.iter
-          (fun node ->
-            let got = rows_on node in
-            if got <> reference then
-              Alcotest.fail
-                (msg
-                   (Printf.sprintf "%s diverged: %s has [%s], %s has [%s]"
-                      shard_table first (show reference) node (show got))))
-          rest)
-    (Citus.Metadata.shards_of meta "accounts")
-
 (* --- one full chaos run --- *)
 
 (* Mid-storm shard move: fire citus_move_shard_placement from SQL while
    transfers and faults are in flight. A move that hits a dead node or a
    cutover lock conflict fails cleanly — the invariants only require
    that whatever it did is consistent and fully accounted. *)
-let fire_move cluster citus wl_rng sref =
-  ensure_session citus sref;
+let fire_move cluster citus wl_rng connect sref =
+  Kit.ensure_session connect sref;
   let meta = citus.Citus.Api.metadata in
   let shards = Citus.Metadata.shards_of meta "accounts" in
   let sh = List.nth shards (Random.State.int wl_rng (List.length shards)) in
-  let workers =
-    List.map
-      (fun (n : Cluster.Topology.node) -> n.Cluster.Topology.node_name)
-      cluster.Cluster.Topology.workers
-  in
+  let workers = Kit.worker_names cluster in
   let to_node = List.nth workers (Random.State.int wl_rng (List.length workers)) in
   try
     ignore
@@ -338,25 +91,26 @@ let run_chaos ?(moves = false) ~seed () =
   (* the storm runs fully traced: conservation and reproducibility of
      the span stream are part of the checked surface *)
   Obs.Trace.set_enabled (Cluster.Topology.trace cluster) true;
-  let fault = fault_of cluster in
+  let fault = Kit.fault_of cluster in
   let clock = cluster.Cluster.Topology.clock in
   (* distinct streams: the fault plan owns the fault RNG; the schedule and
      the workload draw from their own, all derived from the seed *)
   let sched_rng = Random.State.make [| seed; 0xfa07 |] in
   let wl_rng = Random.State.make [| seed; 0x0b5e |] in
   schedule_faults cluster fault sched_rng;
-  let sref = ref (Citus.Api.connect citus) in
+  let connect () = Citus.Api.connect citus in
+  let sref = ref (connect ()) in
   let outcomes = ref [] in
   for i = 1 to n_txns do
     Sim.Clock.advance clock clock_step;
     let k1 = Random.State.int wl_rng n_keys in
     let k2 = (k1 + 1 + Random.State.int wl_rng (n_keys - 1)) mod n_keys in
     let amount = 1 + Random.State.int wl_rng 10 in
-    outcomes := transfer citus sref ~k1 ~k2 ~amount :: !outcomes;
-    if moves && i mod 10 = 3 then fire_move cluster citus wl_rng sref;
+    outcomes := Kit.transfer connect sref ~k1 ~k2 ~amount :: !outcomes;
+    if moves && i mod 10 = 3 then fire_move cluster citus wl_rng connect sref;
     (* occasional reads keep the failover path under fire too *)
     if i mod 5 = 0 then begin
-      ensure_session citus sref;
+      Kit.ensure_session connect sref;
       try ignore (exec !sref "SELECT count(*) FROM accounts") with _ -> ()
     end;
     (* a mid-storm maintenance pass: recovery must be idempotent and
@@ -365,83 +119,42 @@ let run_chaos ?(moves = false) ~seed () =
        post-quiescence passes settle it *)
     if i = n_txns / 2 then ( try Citus.Api.maintenance citus with _ -> ())
   done;
-  quiesce cluster citus;
-  write_pass citus;
+  Kit.heal cluster;
+  Kit.bounce cluster;
+  Kit.advance cluster;
+  Kit.drain citus;
+  Kit.write_pass ~n_keys citus;
   Citus.Api.maintenance citus;
-  let s = Citus.Api.connect citus in
-  let total = one_int s "SELECT sum(balance) FROM accounts" in
-  (cluster, citus, List.rev !outcomes, total)
-
-(* The seed matrix run by `dune runtest` / `dune build @chaos`.
-   CHAOS_SEEDS=n widens it (n storm seeds, and max(1, n/2) move seeds)
-   without touching the repro contract: every check is tagged [seed N]
-   and any failure replays by running that seed. *)
-let chaos_seeds =
-  match Sys.getenv_opt "CHAOS_SEEDS" with
-  | None -> 8
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n when n > 0 -> n
-    | _ ->
-      invalid_arg
-        (Printf.sprintf "CHAOS_SEEDS must be a positive integer, got %S" v))
-
-let seed_matrix = List.init chaos_seeds (fun i -> i + 1)
+  (cluster, citus, List.rev !outcomes, Kit.total citus)
 
 let test_seed ?moves seed () =
-  let cluster, citus, outcomes, _total = run_chaos ?moves ~seed () in
-  check_invariants ~seed cluster citus;
-  check_obs_conservation ~seed cluster;
-  (* at least something must have happened: a schedule that failed every
-     transaction would vacuously satisfy atomicity *)
-  Alcotest.(check bool)
-    (Printf.sprintf "[seed %d] some transfers committed" seed)
-    true
-    (List.exists (fun o -> o = Committed) outcomes)
+  let cluster, citus, outcomes, total = run_chaos ?moves ~seed () in
+  Kit.check_storm ~seed ~n_keys cluster citus ~total ~outcomes
+
+let seed_matrix = Kit.seed_matrix ~default:8 ~first:1
 
 (* chaos over the rebalancer: same storm, with shard moves fired
    mid-workload; some seeds move onto dead nodes, some cut over under
-   lock contention *)
-let move_seed_matrix = List.init (max 1 (chaos_seeds / 2)) (fun i -> i + 11)
-
-let test_move_seed seed () =
-  let cluster, citus, outcomes, _total = run_chaos ~moves:true ~seed () in
-  check_invariants ~seed cluster citus;
-  check_obs_conservation ~seed cluster;
-  Alcotest.(check bool)
-    (Printf.sprintf "[seed %d] some transfers committed" seed)
-    true
-    (List.exists (fun o -> o = Committed) outcomes)
+   lock contention. Half as many seeds as the storm matrix. *)
+let move_seed_matrix =
+  List.init (max 1 (List.length seed_matrix / 2)) (fun i -> i + 11)
 
 (* --- bit-for-bit reproducibility --- *)
 
-let observable (cluster, _citus, outcomes, total) =
-  let obs = Cluster.Topology.obs cluster in
-  ( Sim.Fault.trace (fault_of cluster),
-    List.map outcome_name outcomes,
-    total,
-    Obs.Metrics.render (Obs.Metrics.snapshot obs.Obs.metrics),
-    Obs.Trace.render_tree (Obs.Trace.spans obs.Obs.trace) )
+let observe (cluster, _citus, outcomes, total) =
+  Kit.observe cluster ~outcomes:(List.map Kit.outcome_name outcomes) ~total
 
 let test_reproducible () =
-  let trace_a, outcomes_a, total_a, metrics_a, spans_a =
-    observable (run_chaos ~moves:true ~seed:5 ())
-  in
-  let trace_b, outcomes_b, total_b, metrics_b, spans_b =
-    observable (run_chaos ~moves:true ~seed:5 ())
-  in
-  Alcotest.(check (list string)) "same fault trace" trace_a trace_b;
-  Alcotest.(check (list string)) "same outcomes" outcomes_a outcomes_b;
-  Alcotest.(check int) "same total" total_a total_b;
-  (* ISSUE acceptance: bit-identical metric snapshot and span tree *)
-  Alcotest.(check string) "bit-identical metric snapshot" metrics_a metrics_b;
-  Alcotest.(check (list string)) "bit-identical span tree" spans_a spans_b;
-  let trace_c, _, _, _, _ = observable (run_chaos ~seed:6 ()) in
-  Alcotest.(check bool) "different seed, different schedule" true
-    (trace_a <> trace_c)
+  let a = observe (run_chaos ~moves:true ~seed:5 ()) in
+  let b = observe (run_chaos ~moves:true ~seed:5 ()) in
+  let other = observe (run_chaos ~seed:6 ()) in
+  Kit.check_replay a b ~other
 
 (* --- targeted: worker crash between PREPARE and COMMIT PREPARED, with a
    concurrent (asymmetric) partition of the other participant --- *)
+
+let balance s k =
+  Kit.one_int s (Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" k)
 
 (* Abort-side convergence. The transfer's first-prepared worker crashes
    right after PREPARE TRANSACTION executes; the other participant's
@@ -449,20 +162,13 @@ let test_reproducible () =
    The coordinator aborts, no commit record becomes durable, and recovery
    must roll both prepared transactions back once the storm clears. *)
 let test_prepare_crash_with_partition ~lose_reply () =
-  let cluster, citus = make_cluster ~seed:42 ~replication:1 in
-  let fault = fault_of cluster in
-  let k1, k2 = cross_node_keys citus in
-  let w1 = node_of citus k1 and w2 = node_of citus k2 in
+  let seed = 42 in
+  let cluster, citus = make_cluster ~seed ~replication:1 in
+  let fault = Kit.fault_of cluster in
+  let k1, k2 = Kit.cross_node_keys citus in
+  let w1 = Kit.node_of citus k1 and w2 = Kit.node_of citus k2 in
   let s = Citus.Api.connect citus in
-  ignore (exec s "BEGIN");
-  ignore
-    (exec s
-       (Printf.sprintf
-          "UPDATE accounts SET balance = balance - 7 WHERE key = %d" k1));
-  ignore
-    (exec s
-       (Printf.sprintf
-          "UPDATE accounts SET balance = balance + 7 WHERE key = %d" k2));
+  Kit.open_transfer s ~k1 ~k2 ~amount:7;
   (* txn_conns holds [w2's conn; w1's conn], so PREPARE reaches w2 first:
      arm the crash there, and cut w1's reply link so its PREPARE (if
      reached) executes without the coordinator learning of it *)
@@ -472,57 +178,34 @@ let test_prepare_crash_with_partition ~lose_reply () =
   (match exec s "COMMIT" with
    | _ -> Alcotest.fail "COMMIT had to fail: a participant just crashed"
    | exception _ -> ());
-  (try ignore (exec s "ROLLBACK") with _ -> ());
+  Kit.rollback_quietly s;
   (* the crashed worker holds its prepared transaction durably *)
   Alcotest.(check bool) "w2 is down" false (Sim.Fault.node_up fault w2);
   (* storm over: restart the worker (WAL replay), heal the link, recover *)
-  Sim.Fault.quiesce fault;
-  Sim.Clock.advance cluster.Cluster.Topology.clock 30.0;
-  for _ = 1 to 3 do
-    Citus.Api.maintenance citus
-  done;
-  let st = Citus.Api.coordinator_state citus in
+  Kit.heal cluster;
+  Kit.advance cluster;
+  Kit.drain citus;
   let s = Citus.Api.connect citus in
   Alcotest.(check int) "transfer rolled back everywhere: total intact"
-    expected_total
-    (one_int s "SELECT sum(balance) FROM accounts");
-  Alcotest.(check int) "debit absent" initial_balance
-    (one_int s (Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" k1));
-  Alcotest.(check int) "credit absent" initial_balance
-    (one_int s (Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" k2));
-  List.iter
-    (fun (n : Cluster.Topology.node) ->
-      Alcotest.(check int)
-        (Printf.sprintf "no prepared transactions left on %s"
-           n.Cluster.Topology.node_name)
-        0
-        (List.length
-           (Txn.Manager.prepared_transactions
-              (Engine.Instance.txn_manager n.Cluster.Topology.instance))))
-    (Cluster.Topology.all_nodes cluster);
-  Alcotest.(check int) "no commit records" 0
-    (Citus.Twopc.commit_record_count st)
+    (Kit.expected_total ~n_keys) (Kit.sum_balances s);
+  Alcotest.(check int) "debit absent" Kit.initial_balance (balance s k1);
+  Alcotest.(check int) "credit absent" Kit.initial_balance (balance s k2);
+  Kit.check_no_prepared ~seed cluster;
+  Kit.check_commit_records ~seed citus
 
 (* Commit-side convergence: the last-prepared worker crashes after its
    PREPARE succeeds, so the coordinator commits locally with durable
    commit records, loses the COMMIT PREPARED fan-out to the dead node,
    and recovery must finish the commit there after the restart. *)
 let test_prepare_crash_commit_side () =
-  let cluster, citus = make_cluster ~seed:43 ~replication:1 in
-  let fault = fault_of cluster in
-  let k1, k2 = cross_node_keys citus in
-  let w1 = node_of citus k1 in
+  let seed = 43 in
+  let cluster, citus = make_cluster ~seed ~replication:1 in
+  let fault = Kit.fault_of cluster in
+  let k1, k2 = Kit.cross_node_keys citus in
+  let w1 = Kit.node_of citus k1 in
   let st = Citus.Api.coordinator_state citus in
   let s = Citus.Api.connect citus in
-  ignore (exec s "BEGIN");
-  ignore
-    (exec s
-       (Printf.sprintf
-          "UPDATE accounts SET balance = balance - 7 WHERE key = %d" k1));
-  ignore
-    (exec s
-       (Printf.sprintf
-          "UPDATE accounts SET balance = balance + 7 WHERE key = %d" k2));
+  Kit.open_transfer s ~k1 ~k2 ~amount:7;
   (* w1's conn is prepared last: its PREPARE succeeds, then it dies *)
   Sim.Fault.arm_crash_after fault ~node:w1 ~matching:"PREPARE TRANSACTION" ();
   ignore (exec s "COMMIT");
@@ -533,44 +216,23 @@ let test_prepare_crash_commit_side () =
   Alcotest.(check int) "fan-out failure counted" 1
     (Citus.Health.failed_commits st.Citus.State.health w1);
   Sim.Fault.restart_now fault w1;
-  Sim.Clock.advance cluster.Cluster.Topology.clock 30.0;
-  for _ = 1 to 3 do
-    Citus.Api.maintenance citus
-  done;
+  Kit.advance cluster;
+  Kit.drain citus;
   let s = Citus.Api.connect citus in
-  Alcotest.(check int) "debit committed by recovery" (initial_balance - 7)
-    (one_int s (Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" k1));
-  Alcotest.(check int) "credit committed" (initial_balance + 7)
-    (one_int s (Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" k2));
-  Alcotest.(check int) "commit records drained" 0
-    (Citus.Twopc.commit_record_count st);
-  List.iter
-    (fun (n : Cluster.Topology.node) ->
-      Alcotest.(check int)
-        (Printf.sprintf "no prepared transactions left on %s"
-           n.Cluster.Topology.node_name)
-        0
-        (List.length
-           (Txn.Manager.prepared_transactions
-              (Engine.Instance.txn_manager n.Cluster.Topology.instance))))
-    (Cluster.Topology.all_nodes cluster)
+  Alcotest.(check int) "debit committed by recovery" (Kit.initial_balance - 7)
+    (balance s k1);
+  Alcotest.(check int) "credit committed" (Kit.initial_balance + 7)
+    (balance s k2);
+  Kit.check_commit_records ~seed citus;
+  Kit.check_no_prepared ~seed cluster
 
 let () =
   Alcotest.run "chaos"
     [
-      ( "seed-matrix",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Quick (test_seed seed))
-          seed_matrix );
+      ("seed-matrix", Kit.seed_cases test_seed seed_matrix);
       ( "move-matrix",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "moves under fire, seed %d" seed)
-              `Quick (test_move_seed seed))
+        Kit.seed_cases ~label:"moves under fire, seed"
+          (fun seed -> test_seed ~moves:true seed)
           move_seed_matrix );
       ( "reproducibility",
         [ Alcotest.test_case "same seed, same run" `Quick test_reproducible ] );

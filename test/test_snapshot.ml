@@ -16,62 +16,21 @@
    are expected to tear somewhere in the matrix (proving the windows
    were really open), and the same seed replays bit-for-bit. *)
 
-let exec s sql = Engine.Instance.exec s sql
+module Kit = Chaos_kit
+
+let exec = Kit.exec
 
 (* The cluster's fault plan and the node [st] runs on: partitions and
    statement refusals are cut on the plan's [here st -> node] link. *)
-let plan (st : Citus.State.t) =
-  Option.get (Cluster.Topology.fault st.Citus.State.cluster)
+let plan (st : Citus.State.t) = Kit.fault_of st.Citus.State.cluster
 
 let here (st : Citus.State.t) = st.Citus.State.local.Cluster.Topology.node_name
 
-let one_int s sql =
-  match (exec s sql).Engine.Instance.rows with
-  | [ [| Datum.Int i |] ] -> i
-  | rows ->
-    Alcotest.fail
-      (Printf.sprintf "expected one int from %S, got %d rows" sql
-         (List.length rows))
-
 let check_int s msg expected sql =
-  Alcotest.(check int) msg expected (one_int s sql)
-
-let counter cluster name =
-  Obs.Metrics.counter_value (Cluster.Topology.metrics cluster) name
-
-let node_of citus ~table k =
-  let meta = citus.Citus.Api.metadata in
-  Citus.Metadata.placement meta
-    (Citus.Metadata.shard_for_value meta ~table (Datum.Int k))
-      .Citus.Metadata.shard_id
-
-let two_keys_on_different_nodes citus table =
-  let k1 = 1 in
-  let rec find k =
-    if k > 1000 then Alcotest.fail "no second node?"
-    else if node_of citus ~table k <> node_of citus ~table k1 then k
-    else find (k + 1)
-  in
-  (k1, find 2)
+  Alcotest.(check int) msg expected (Kit.one_int s sql)
 
 let n_keys = 12
-let initial_balance = 100
-let expected_total = n_keys * initial_balance
-
-let setup_accounts s =
-  ignore
-    (exec s "CREATE TABLE accounts (key bigint PRIMARY KEY, balance bigint)");
-  ignore (exec s "SELECT create_distributed_table('accounts', 'key')");
-  ignore (exec s "BEGIN");
-  for k = 0 to n_keys - 1 do
-    ignore
-      (exec s
-         (Printf.sprintf "INSERT INTO accounts (key, balance) VALUES (%d, %d)"
-            k initial_balance))
-  done;
-  ignore (exec s "COMMIT")
-
-let sum_balances s = one_int s "SELECT sum(balance) FROM accounts"
+let expected_total = Kit.expected_total ~n_keys
 
 (* Open an in-doubt window: a two-node transfer whose COMMIT PREPARED to
    [lost]'s node is fumbled — the coordinator acknowledges the commit
@@ -79,28 +38,14 @@ let sum_balances s = one_int s "SELECT sum(balance) FROM accounts"
    (k1, k2, the node left in doubt). *)
 let fumbled_transfer citus s ~amount =
   let st = Citus.Api.coordinator_state citus in
-  let k1, k2 = two_keys_on_different_nodes citus "accounts" in
-  let lost_node = node_of citus ~table:"accounts" k2 in
+  let k1, k2 = Kit.cross_node_keys ~k1:1 citus in
+  let lost_node = Kit.node_of citus k2 in
   Sim.Fault.refuse_statements (plan st) ~from_:(here st)
     ~to_:lost_node ~matching:"COMMIT PREPARED";
-  ignore (exec s "BEGIN");
-  ignore
-    (exec s
-       (Printf.sprintf
-          "UPDATE accounts SET balance = balance - %d WHERE key = %d" amount k1));
-  ignore
-    (exec s
-       (Printf.sprintf
-          "UPDATE accounts SET balance = balance + %d WHERE key = %d" amount k2));
+  Kit.open_transfer s ~k1 ~k2 ~amount;
   ignore (exec s "COMMIT");
   Sim.Fault.clear_refusals (plan st);
   (k1, k2, lost_node)
-
-let prepared_count cluster node =
-  List.length
-    (Txn.Manager.prepared_transactions
-       (Engine.Instance.txn_manager
-          (Cluster.Topology.find_node cluster node).Cluster.Topology.instance))
 
 (* --- the knob --- *)
 
@@ -141,45 +86,45 @@ let test_eventual_read_is_torn () =
   let cluster = Cluster.Topology.create ~workers:3 ~fault_seed:0 () in
   let citus = Citus.Api.install ~shard_count:8 cluster in
   let s = Citus.Api.connect citus in
-  setup_accounts s;
+  Kit.create_accounts ~in_txn:true ~n_keys s;
   let amount = 7 in
   let _, _, lost_node = fumbled_transfer citus s ~amount in
-  Alcotest.(check int) "window is open" 1 (prepared_count cluster lost_node);
+  Alcotest.(check int) "window is open" 1 (Kit.prepared_on cluster lost_node);
   (* eventual: the debit is visible, the in-doubt credit is not — the
      acknowledged distributed commit reads half-applied *)
   Alcotest.(check int) "torn total at eventual" (expected_total - amount)
-    (sum_balances s);
+    (Kit.sum_balances s);
   (* the torn read did not resolve anything *)
-  Alcotest.(check int) "window still open" 1 (prepared_count cluster lost_node);
+  Alcotest.(check int) "window still open" 1 (Kit.prepared_on cluster lost_node);
   Alcotest.(check int) "no in-doubt waits at eventual" 0
-    (counter cluster Obs.Metric_names.snapshot_indoubt_waits)
+    (Kit.counter cluster Obs.Metric_names.snapshot_indoubt_waits)
 
 let heal_test consistency () =
   let cluster = Cluster.Topology.create ~workers:3 ~fault_seed:0 () in
   let citus = Citus.Api.install ~shard_count:8 cluster in
   let s = Citus.Api.connect citus in
-  setup_accounts s;
+  Kit.create_accounts ~in_txn:true ~n_keys s;
   let st = Citus.Api.coordinator_state citus in
   let _, k2, lost_node = fumbled_transfer citus s ~amount:7 in
   st.Citus.State.config.Citus.State.consistency <- consistency;
   (* the reader hits the in-doubt fragment, consults the coordinator's
      commit record, finishes the COMMIT PREPARED itself and retries *)
-  Alcotest.(check int) "total conserved" expected_total (sum_balances s);
+  Alcotest.(check int) "total conserved" expected_total (Kit.sum_balances s);
   Alcotest.(check bool) "reader blocked on the in-doubt window" true
-    (counter cluster Obs.Metric_names.snapshot_indoubt_waits > 0);
+    (Kit.counter cluster Obs.Metric_names.snapshot_indoubt_waits > 0);
   Alcotest.(check bool) "resolved by committing" true
-    (counter cluster Obs.Metric_names.snapshot_indoubt_commits > 0);
+    (Kit.counter cluster Obs.Metric_names.snapshot_indoubt_commits > 0);
   Alcotest.(check bool) "read retried after resolution" true
-    (counter cluster Obs.Metric_names.snapshot_read_retries > 0);
+    (Kit.counter cluster Obs.Metric_names.snapshot_read_retries > 0);
   Alcotest.(check int) "window drained by the read" 0
-    (prepared_count cluster lost_node);
+    (Kit.prepared_on cluster lost_node);
   check_int s "credit visible after resolution" 107
     (Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" k2);
   (* a second read finds nothing in doubt *)
-  let waits = counter cluster Obs.Metric_names.snapshot_indoubt_waits in
-  Alcotest.(check int) "still conserved" expected_total (sum_balances s);
+  let waits = Kit.counter cluster Obs.Metric_names.snapshot_indoubt_waits in
+  Alcotest.(check int) "still conserved" expected_total (Kit.sum_balances s);
   Alcotest.(check int) "no further blocking" waits
-    (counter cluster Obs.Metric_names.snapshot_indoubt_waits);
+    (Kit.counter cluster Obs.Metric_names.snapshot_indoubt_waits);
   Citus.Api.maintenance citus;
   Alcotest.(check int) "commit records drained" 0
     (Citus.Twopc.commit_record_count st)
@@ -194,39 +139,31 @@ let test_snapshot_resolves_aborted_orphan () =
   let cluster = Cluster.Topology.create ~workers:3 ~fault_seed:0 () in
   let citus = Citus.Api.install ~shard_count:8 cluster in
   let s = Citus.Api.connect citus in
-  setup_accounts s;
+  Kit.create_accounts ~in_txn:true ~n_keys s;
   let st = Citus.Api.coordinator_state citus in
-  let k1, k2 = two_keys_on_different_nodes citus "accounts" in
+  let k1, k2 = Kit.cross_node_keys ~k1:1 citus in
   (* connections are visited newest-first at commit, so k2's node
      prepares first; failing k1's PREPARE aborts the 2PC and the
      injected ROLLBACK PREPARED failure orphans k2's prepared txn *)
   Sim.Fault.refuse_statements (plan st)
-    ~from_:(here st) ~to_:(node_of citus ~table:"accounts" k1)
+    ~from_:(here st) ~to_:(Kit.node_of citus k1)
     ~matching:"PREPARE TRANSACTION";
   Sim.Fault.refuse_statements (plan st)
-    ~from_:(here st) ~to_:(node_of citus ~table:"accounts" k2)
+    ~from_:(here st) ~to_:(Kit.node_of citus k2)
     ~matching:"ROLLBACK PREPARED";
-  ignore (exec s "BEGIN");
-  ignore
-    (exec s
-       (Printf.sprintf "UPDATE accounts SET balance = balance - 7 WHERE key = %d"
-          k1));
-  ignore
-    (exec s
-       (Printf.sprintf "UPDATE accounts SET balance = balance + 7 WHERE key = %d"
-          k2));
+  Kit.open_transfer s ~k1 ~k2 ~amount:7;
   (match exec s "COMMIT" with _ -> () | exception _ -> ());
-  ignore (try ignore (exec s "ROLLBACK") with _ -> ());
+  Kit.rollback_quietly s;
   Sim.Fault.clear_refusals (plan st);
   Alcotest.(check int) "orphan pending" 1
-    (prepared_count cluster (node_of citus ~table:"accounts" k2));
+    (Kit.prepared_on cluster (Kit.node_of citus k2));
   st.Citus.State.config.Citus.State.consistency <- Citus.State.Snapshot;
   Alcotest.(check int) "aborted transfer fully invisible" expected_total
-    (sum_balances s);
+    (Kit.sum_balances s);
   Alcotest.(check bool) "resolved by rolling back" true
-    (counter cluster Obs.Metric_names.snapshot_indoubt_rollbacks > 0);
+    (Kit.counter cluster Obs.Metric_names.snapshot_indoubt_rollbacks > 0);
   Alcotest.(check int) "orphan drained" 0
-    (prepared_count cluster (node_of citus ~table:"accounts" k2))
+    (Kit.prepared_on cluster (Kit.node_of citus k2))
 
 (* --- per-fragment replica hedging --- *)
 
@@ -237,32 +174,28 @@ let test_scatter_gather_fragment_hedging () =
   let citus = Citus.Api.install ~shard_count:8 cluster in
   Citus.Api.set_replication_factor citus 2;
   let s = Citus.Api.connect citus in
-  setup_accounts s;
+  Kit.create_accounts ~in_txn:true ~n_keys s;
   let st = Citus.Api.coordinator_state citus in
   st.Citus.State.config.Citus.State.hedge_threshold <- 0.05;
   st.Citus.State.config.Citus.State.consistency <- Citus.State.Snapshot;
-  let fault =
-    match Cluster.Topology.fault cluster with
-    | Some f -> f
-    | None -> Alcotest.fail "no fault plan"
-  in
+  let fault = Kit.fault_of cluster in
   (* one worker browns out: its fragments of the scatter-gather read
      sit past the hedge threshold, each hedges to the other replica
      independently, and the slow replica never delays the answer *)
   Sim.Fault.stall_node fault ~node:"worker1" ~extra:1.0 ~duration:1000.0;
   Alcotest.(check int) "hedged read still exact" expected_total
-    (sum_balances s);
+    (Kit.sum_balances s);
   Alcotest.(check bool) "fragments hedged" true
-    (counter cluster Obs.Metric_names.exec_hedged_reads > 0);
+    (Kit.counter cluster Obs.Metric_names.exec_hedged_reads > 0);
   Alcotest.(check bool) "multi-shard fragments counted" true
-    (counter cluster Obs.Metric_names.snapshot_hedged_fragments > 0);
+    (Kit.counter cluster Obs.Metric_names.snapshot_hedged_fragments > 0);
   Alcotest.(check bool) "a hedge won" true
-    (counter cluster Obs.Metric_names.snapshot_fragment_hedge_wins > 0);
+    (Kit.counter cluster Obs.Metric_names.snapshot_fragment_hedge_wins > 0);
   (* writes never hedge, stalled replica or not *)
-  let hedges = counter cluster Obs.Metric_names.exec_hedged_reads in
+  let hedges = Kit.counter cluster Obs.Metric_names.exec_hedged_reads in
   ignore (exec s "UPDATE accounts SET balance = balance + 0 WHERE key = 1");
   Alcotest.(check int) "writes never hedge" hedges
-    (counter cluster Obs.Metric_names.exec_hedged_reads)
+    (Kit.counter cluster Obs.Metric_names.exec_hedged_reads)
 
 (* --- deadline-bounded rebalancer moves --- *)
 
@@ -283,11 +216,7 @@ let test_move_timeout_abandons_cleanly () =
   let shard_id = shard.Citus.Metadata.shard_id in
   let from_node = Citus.Metadata.placement meta shard_id in
   let to_node = if from_node = "worker1" then "worker2" else "worker1" in
-  let fault =
-    match Cluster.Topology.fault cluster with
-    | Some f -> f
-    | None -> Alcotest.fail "no fault plan"
-  in
+  let fault = Kit.fault_of cluster in
   (* the destination stalls far past the move budget *)
   Sim.Fault.stall_node fault ~node:to_node ~extra:5.0 ~duration:1000.0;
   st.Citus.State.config.Citus.State.move_timeout <- 1.0;
@@ -295,7 +224,7 @@ let test_move_timeout_abandons_cleanly () =
    | _ -> Alcotest.fail "move should have timed out"
    | exception Cluster.Connection.Timed_out _ -> ());
   Alcotest.(check int) "timeout counted" 1
-    (counter cluster Obs.Metric_names.rebalance_move_timeouts);
+    (Kit.counter cluster Obs.Metric_names.rebalance_move_timeouts);
   (* abandoned cleanly: source placement untouched, no trace of the
      partial copy on the destination *)
   Alcotest.(check string) "placement unchanged" from_node
@@ -338,11 +267,7 @@ let test_move_timeout_rolls_back_group () =
   let shard_id = shard.Citus.Metadata.shard_id in
   let from_node = Citus.Metadata.placement meta shard_id in
   let to_node = if from_node = "worker1" then "worker2" else "worker1" in
-  let fault =
-    match Cluster.Topology.fault cluster with
-    | Some f -> f
-    | None -> Alcotest.fail "no fault plan"
-  in
+  let fault = Kit.fault_of cluster in
   (* each destination round trip costs exactly 0.4s; the tables have no
      indexes, so each shard copy is one CREATE TABLE round trip: the
      first sibling lands at 0.4s (inside the 0.6s budget) and cuts
@@ -353,7 +278,7 @@ let test_move_timeout_rolls_back_group () =
    | _ -> Alcotest.fail "group move should have timed out"
    | exception Cluster.Connection.Timed_out _ -> ());
   Alcotest.(check int) "timeout counted" 1
-    (counter cluster Obs.Metric_names.rebalance_move_timeouts);
+    (Kit.counter cluster Obs.Metric_names.rebalance_move_timeouts);
   (* both siblings ended up back where they started *)
   List.iter
     (fun (sh : Citus.Metadata.shard) ->
@@ -376,47 +301,16 @@ let n_stmts = 30
 let clock_step = 0.25
 let timeout = 0.5
 
-type outcome = Committed | Failed | Unknown
-
-let outcome_name = function
-  | Committed -> "committed"
-  | Failed -> "failed"
-  | Unknown -> "unknown"
-
-let fault_of cluster =
-  match Cluster.Topology.fault cluster with
-  | Some f -> f
-  | None -> Alcotest.fail "cluster has no fault plan"
-
 let make_chaos_cluster ~seed =
-  let cluster =
-    Cluster.Topology.create ~workers:3 ~fault_seed:seed ~sched_seed:seed ()
-  in
-  let citus = Citus.Api.install ~shard_count:8 cluster in
-  Citus.Api.set_replication_factor citus 2;
-  let st = Citus.Api.coordinator_state citus in
-  st.Citus.State.config.Citus.State.statement_timeout <- timeout;
-  st.Citus.State.config.Citus.State.hedge_threshold <- 0.05;
-  let s = Citus.Api.connect citus in
-  ignore
-    (exec s "CREATE TABLE accounts (key bigint PRIMARY KEY, balance bigint)");
-  ignore (exec s "SELECT create_distributed_table('accounts', 'key')");
-  ignore (exec s "BEGIN");
-  for k = 0 to n_keys - 1 do
-    ignore
-      (exec s
-         (Printf.sprintf "INSERT INTO accounts (key, balance) VALUES (%d, %d)"
-            k initial_balance))
-  done;
-  ignore (exec s "COMMIT");
-  (cluster, citus)
+  Kit.accounts_cluster ~seed ~n_keys ~replication:2 ~in_txn:true
+    ~setup:(fun _ citus ->
+      let st = Citus.Api.coordinator_state citus in
+      st.Citus.State.config.Citus.State.statement_timeout <- timeout;
+      st.Citus.State.config.Citus.State.hedge_threshold <- 0.05)
+    ()
 
 let schedule_storm cluster fault rng =
-  let workers =
-    List.map
-      (fun (n : Cluster.Topology.node) -> n.Cluster.Topology.node_name)
-      cluster.Cluster.Topology.workers
-  in
+  let workers = Kit.worker_names cluster in
   let pick l = List.nth l (Random.State.int rng (List.length l)) in
   let horizon = float_of_int n_stmts *. clock_step in
   Sim.Fault.set_latency fault ~mean:0.005 ~jitter:0.005;
@@ -434,81 +328,41 @@ let schedule_storm cluster fault rng =
   let at = Random.State.float rng (horizon *. 0.8) in
   Sim.Fault.schedule_stall fault ~at ~extra:1.5 ~duration:1.0 (pick workers)
 
-let ensure_session citus sref =
-  if not (Engine.Instance.session_alive !sref) then
-    sref := Citus.Api.connect citus
-
-let rollback_quietly s = try ignore (exec s "ROLLBACK") with _ -> ()
-
 (* A transfer; with probability ~1/4 its COMMIT PREPARED fan-out to one
    worker is fumbled (injected failure, cleared right after), leaving an
    in-doubt window that persists until a reader resolves it. *)
-let chaos_transfer citus st rng sref ~k1 ~k2 ~amount =
-  ensure_session citus sref;
-  let s = !sref in
-  let fumble =
-    if Random.State.int rng 4 = 0 then begin
-      let w = Printf.sprintf "worker%d" (1 + Random.State.int rng 3) in
-      Sim.Fault.refuse_statements (plan st) ~from_:(here st)
-        ~to_:w ~matching:"COMMIT PREPARED";
-      true
-    end
-    else false
-  in
-  let stmt sql = match exec s sql with _ -> true | exception _ -> false in
-  let outcome =
-    if
-      stmt "BEGIN"
-      && stmt
-           (Printf.sprintf
-              "UPDATE accounts SET balance = balance - %d WHERE key = %d"
-              amount k1)
-      && stmt
-           (Printf.sprintf
-              "UPDATE accounts SET balance = balance + %d WHERE key = %d"
-              amount k2)
-    then
-      if stmt "COMMIT" then Committed
-      else begin
-        rollback_quietly s;
-        Unknown
-      end
-    else begin
-      rollback_quietly s;
-      Failed
-    end
-  in
+let chaos_transfer st rng connect sref ~k1 ~k2 ~amount =
+  let fumble = Random.State.int rng 4 = 0 in
+  if fumble then begin
+    let w = Printf.sprintf "worker%d" (1 + Random.State.int rng 3) in
+    Sim.Fault.refuse_statements (plan st) ~from_:(here st) ~to_:w
+      ~matching:"COMMIT PREPARED"
+  end;
+  let outcome = Kit.transfer connect sref ~k1 ~k2 ~amount in
   if fumble then Sim.Fault.clear_refusals (plan st);
   outcome
 
 (* One scatter-gather sum at the given consistency level. *)
-let read_total citus st sref level =
-  ensure_session citus sref;
+let read_total st connect sref level =
+  Kit.ensure_session connect sref;
   let s = !sref in
   let saved = st.Citus.State.config.Citus.State.consistency in
   st.Citus.State.config.Citus.State.consistency <- level;
   let r =
-    match sum_balances s with
+    match Kit.sum_balances s with
     | total -> Ok total
     | exception _ ->
-      rollback_quietly s;
+      Kit.rollback_quietly s;
       Error ()
   in
   st.Citus.State.config.Citus.State.consistency <- saved;
   r
 
-let quiesce cluster citus =
-  Sim.Fault.quiesce (fault_of cluster);
-  Sim.Clock.advance cluster.Cluster.Topology.clock 30.0;
-  for _ = 1 to 3 do
-    Citus.Api.maintenance citus
-  done
-
 let run_chaos ~seed () =
   let cluster, citus = make_chaos_cluster ~seed in
   Obs.Trace.set_enabled (Cluster.Topology.trace cluster) true;
   let st = Citus.Api.coordinator_state citus in
-  let fault = fault_of cluster in
+  let fault = Kit.fault_of cluster in
   let clock = cluster.Cluster.Topology.clock in
   let storm_rng = Random.State.make [| seed; 0x5caf |] in
   let wl_rng = Random.State.make [| seed; 0x0b5e |] in
@@ -517,17 +371,18 @@ let run_chaos ~seed () =
   let outcomes = ref [] in
   let reads = ref [] in
   let torn = ref 0 in
-  let sref = ref (Citus.Api.connect citus) in
+  let connect () = Citus.Api.connect citus in
+  let sref = ref (connect ()) in
   for i = 1 to n_stmts do
     Sim.Clock.advance clock clock_step;
     if i mod 3 = 0 then begin
       (* eventual first: it may tear, and it never resolves the windows
          the snapshot read is about to hit *)
-      (match read_total citus st sref Citus.State.Eventual with
+      (match read_total st connect sref Citus.State.Eventual with
        | Ok t when t <> expected_total -> incr torn
        | _ -> ());
       let r =
-        match read_total citus st sref Citus.State.Snapshot with
+        match read_total st connect sref Citus.State.Snapshot with
         | Ok total ->
           (* the tentpole invariant: a snapshot read that answers at all
              answers exactly — under fumbled commits and skewed clocks *)
@@ -546,49 +401,13 @@ let run_chaos ~seed () =
       let k2 = (k1 + 1 + Random.State.int wl_rng (n_keys - 1)) mod n_keys in
       let amount = 1 + Random.State.int wl_rng 10 in
       outcomes :=
-        chaos_transfer citus st wl_rng sref ~k1 ~k2 ~amount :: !outcomes
+        chaos_transfer st wl_rng connect sref ~k1 ~k2 ~amount :: !outcomes
     end
   done;
-  quiesce cluster citus;
-  let s = Citus.Api.connect citus in
-  let total = sum_balances s in
-  (cluster, citus, List.rev !outcomes, List.rev !reads, !torn, total)
-
-let check_chaos_invariants ~seed cluster citus total =
-  let msg m = Printf.sprintf "[seed %d] %s" seed m in
-  let st = Citus.Api.coordinator_state citus in
-  Alcotest.(check int) (msg "total conserved after quiescence") expected_total
-    total;
-  Alcotest.(check int) (msg "no txn conns pinned") 0
-    (Citus.State.leaked_txn_conns st);
-  List.iter
-    (fun (n : Cluster.Topology.node) ->
-      Alcotest.(check int)
-        (msg
-           (Printf.sprintf "no orphaned prepared transactions on %s"
-              n.Cluster.Topology.node_name))
-        0
-        (prepared_count cluster n.Cluster.Topology.node_name))
-    (Cluster.Topology.all_nodes cluster);
-  Alcotest.(check int) (msg "commit records drained") 0
-    (Citus.Twopc.commit_record_count st);
-  let obs = Cluster.Topology.obs cluster in
-  Alcotest.(check int)
-    (msg "every span opened was closed")
-    (Obs.Trace.started obs.Obs.trace)
-    (Obs.Trace.finished obs.Obs.trace)
-
-let snapshot_seeds =
-  match Sys.getenv_opt "SNAPSHOT_SEEDS" with
-  | None -> 6
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n when n > 0 -> n
-    | _ ->
-      invalid_arg
-        (Printf.sprintf "SNAPSHOT_SEEDS must be a positive integer, got %S" v))
-
-let seed_matrix = List.init snapshot_seeds (fun i -> i + 1)
+  Kit.heal cluster;
+  Kit.advance cluster;
+  Kit.drain citus;
+  (cluster, citus, List.rev !outcomes, List.rev !reads, !torn, Kit.total citus)
 
 (* Accumulated across the matrix: the no-torn-read check is vacuous
    unless readers really hit open in-doubt windows somewhere, and the
@@ -601,7 +420,7 @@ let m_hedged = ref 0
 
 let test_seed seed () =
   let cluster, citus, outcomes, reads, torn, total = run_chaos ~seed () in
-  let c name = counter cluster name in
+  let c name = Kit.counter cluster name in
   m_indoubt_waits := !m_indoubt_waits + c Obs.Metric_names.snapshot_indoubt_waits;
   m_resolved :=
     !m_resolved
@@ -610,13 +429,9 @@ let test_seed seed () =
   m_snapshot_reads := !m_snapshot_reads + c Obs.Metric_names.snapshot_reads;
   m_torn_eventual := !m_torn_eventual + torn;
   m_hedged := !m_hedged + c Obs.Metric_names.snapshot_hedged_fragments;
-  check_chaos_invariants ~seed cluster citus total;
+  Kit.check_storm ~seed ~n_keys cluster citus ~total ~outcomes;
   Alcotest.(check bool)
-    (Printf.sprintf "[seed %d] some transfers committed" seed)
-    true
-    (List.exists (fun o -> o = Committed) outcomes);
-  Alcotest.(check bool)
-    (Printf.sprintf "[seed %d] some snapshot reads answered" seed)
+    (Kit.tag ~seed "some snapshot reads answered")
     true
     (List.exists (fun r -> r <> "failed") reads)
 
@@ -635,33 +450,15 @@ let test_storm_was_live () =
 
 (* --- bit-for-bit reproducibility --- *)
 
-let observable (cluster, _citus, outcomes, reads, torn, total) =
-  let obs = Cluster.Topology.obs cluster in
-  ( Sim.Fault.trace (fault_of cluster),
-    List.map outcome_name outcomes,
-    reads,
-    torn,
-    total,
-    Obs.Metrics.render (Obs.Metrics.snapshot obs.Obs.metrics),
-    Obs.Trace.render_tree (Obs.Trace.spans obs.Obs.trace) )
+let observe (cluster, _citus, outcomes, reads, torn, total) =
+  Kit.observe cluster ~outcomes:(List.map Kit.outcome_name outcomes) ~total
+    ~extra:[ ("read results", reads); ("torn count", [ string_of_int torn ]) ]
 
 let test_reproducible () =
-  let trace_a, out_a, reads_a, torn_a, total_a, metrics_a, spans_a =
-    observable (run_chaos ~seed:2 ())
-  in
-  let trace_b, out_b, reads_b, torn_b, total_b, metrics_b, spans_b =
-    observable (run_chaos ~seed:2 ())
-  in
-  Alcotest.(check (list string)) "same fault trace" trace_a trace_b;
-  Alcotest.(check (list string)) "same outcomes" out_a out_b;
-  Alcotest.(check (list string)) "same read results" reads_a reads_b;
-  Alcotest.(check int) "same torn count" torn_a torn_b;
-  Alcotest.(check int) "same total" total_a total_b;
-  Alcotest.(check string) "bit-identical metric snapshot" metrics_a metrics_b;
-  Alcotest.(check (list string)) "bit-identical span tree" spans_a spans_b;
-  let trace_c, _, _, _, _, _, _ = observable (run_chaos ~seed:5 ()) in
-  Alcotest.(check bool) "different seed, different storm" true
-    (trace_a <> trace_c)
+  let a = observe (run_chaos ~seed:2 ()) in
+  let b = observe (run_chaos ~seed:2 ()) in
+  let other = observe (run_chaos ~seed:5 ()) in
+  Kit.check_replay a b ~other
 
 let () =
   Alcotest.run "snapshot"
@@ -691,12 +488,7 @@ let () =
             test_move_timeout_rolls_back_group;
         ] );
       ( "skew-matrix",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Quick (test_seed seed))
-          seed_matrix
+        Kit.seed_cases test_seed (Kit.seed_matrix ~default:6 ~first:1)
         @ [ Alcotest.test_case "the storm was live" `Quick test_storm_was_live ]
       );
       ( "reproducibility",

@@ -23,7 +23,7 @@
       {!resolved} follows the chain.
 
     Each reference site also records the lexical facts the
-    interprocedural rules need: whether an L9-style scheduler scope is
+    interprocedural rules need: whether a lexical scheduler scope is
     in sight, whether suspension-propagation is stopped (the site sits
     under a [with_sched]/[Sched.run] handler or inside a nested
     [fun sched ->] closure), whether a bracket ([Fun.protect]) protects
@@ -43,11 +43,12 @@ type fn_id = { m : string; v : string }
 let id_str { m; v } = m ^ "." ^ v
 
 type kind =
-  | Call of { labels : string list }
+  | Call of { labels : string list; app_loc : Location.t }
       (** head of an application; [labels] holds the names of the
           labelled / optional arguments passed ([~deadline],
           [?snapshot], …) so argument-threading rules can check any
-          label without re-walking the AST *)
+          label without re-walking the AST; [app_loc] spans the whole
+          application, enclosing parentheses included *)
   | Value  (** alias target, higher-order argument, stored closure *)
 
 type site = {
@@ -56,7 +57,7 @@ type site = {
   s_kind : kind;
   s_loc : Location.t;
   s_in_scope : bool;
-      (** L9 fiber discipline: under with_sched / Sched.run / Sched.spawn
+      (** L10 fiber discipline: under with_sched / Sched.run / Sched.spawn
           or a [fun sched ->] *)
   s_stopped : bool;
       (** suspension does not escape the enclosing function through this
@@ -122,7 +123,7 @@ let lint_attrs (attrs : Parsetree.attributes) =
     attrs
 
 (* Applications whose lambda arguments run with a scheduler in hand
-   (grant the L9 discipline), and those that additionally install the
+   (grant the L10 discipline), and those that additionally install the
    effect handler themselves (stop suspension propagation outward). *)
 let grants_scope comps =
   match List.rev comps with
@@ -309,7 +310,7 @@ let walk_binding defined ~file ~cur_module (vb : Parsetree.value_binding) :
                  | Asttypes.Nolabel -> None)
                args
            in
-           record head ~kind:(Call { labels }) comps
+           record head ~kind:(Call { labels; app_loc = e.Parsetree.pexp_loc }) comps
          end;
          if grants_scope comps then ctx.in_scope <- true;
          if installs_handler comps then ctx.stopped <- true;

@@ -96,7 +96,7 @@ let check_program (files : (string * Parsetree.structure) list) =
                 && (not (List.mem escape_hatch s.Callgraph.s_attrs))
                 &&
                 match s.Callgraph.s_kind with
-                | Callgraph.Call { labels } ->
+                | Callgraph.Call { labels; _ } ->
                   not (List.mem "snapshot" labels)
                 | Callgraph.Value -> true
               then
